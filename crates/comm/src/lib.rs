@@ -30,6 +30,6 @@ pub mod spmd;
 pub use cancel::CancelToken;
 pub use comm::{Communicator, SelfComm, ThreadComm};
 pub use dist::{dist_dot, dist_norm, GhostPattern};
-pub use par::{parallel_for_chunks, ThreadPool};
+pub use par::{parallel_chunks_mut, parallel_for_chunks, ThreadPool, PAR_GRAIN};
 pub use proc::ProcessComm;
 pub use spmd::SpmdCommand;

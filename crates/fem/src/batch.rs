@@ -129,21 +129,37 @@ pub fn color_face_batches<const L: usize>(
     batches: &[FaceBatch<L>],
     n_cells: usize,
 ) -> Vec<Vec<usize>> {
-    let mut color_of_cell: Vec<Vec<u32>> = vec![Vec::new(); n_cells]; // colors already touching cell
-    let mut colors: Vec<Vec<usize>> = Vec::new();
-    for (bi, b) in batches.iter().enumerate() {
-        let mut cells = Vec::with_capacity(2 * L);
-        for l in 0..b.n_filled {
-            cells.push(b.minus[l]);
-            if b.plus[l] != u32::MAX {
-                cells.push(b.plus[l]);
+    greedy_colors(
+        n_cells,
+        batches.iter().map(|b| {
+            let mut cells = Vec::with_capacity(2 * L);
+            for l in 0..b.n_filled {
+                cells.push(b.minus[l]);
+                if b.plus[l] != u32::MAX {
+                    cells.push(b.plus[l]);
+                }
             }
-        }
-        // find the smallest color not used by any touched cell
+            cells
+        }),
+    )
+}
+
+/// Greedy conflict coloring: batch `i` (in iteration order) touches the
+/// keys (cells, dofs, ...) `keys_of_batch[i]`, all below `n_keys`, and
+/// gets the smallest color no earlier batch sharing a key has. Batches of
+/// one color are then key-disjoint and may scatter concurrently.
+pub fn greedy_colors(
+    n_keys: usize,
+    keys_of_batch: impl IntoIterator<Item = Vec<u32>>,
+) -> Vec<Vec<usize>> {
+    let mut color_of_key: Vec<Vec<u32>> = vec![Vec::new(); n_keys]; // colors already touching key
+    let mut colors: Vec<Vec<usize>> = Vec::new();
+    for (bi, keys) in keys_of_batch.into_iter().enumerate() {
+        // find the smallest color not used by any touched key
         let mut c = 0u32;
         'search: loop {
-            for &cell in &cells {
-                if color_of_cell[cell as usize].contains(&c) {
+            for &k in &keys {
+                if color_of_key[k as usize].contains(&c) {
                     c += 1;
                     continue 'search;
                 }
@@ -154,8 +170,8 @@ pub fn color_face_batches<const L: usize>(
             colors.push(Vec::new());
         }
         colors[c as usize].push(bi);
-        for &cell in &cells {
-            color_of_cell[cell as usize].push(c);
+        for &k in &keys {
+            color_of_key[k as usize].push(c);
         }
     }
     colors

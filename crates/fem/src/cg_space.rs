@@ -7,7 +7,7 @@
 //! The Laplacian on these levels needs only cell integrals (the function is
 //! continuous) plus Nitsche boundary faces — reusing the DG kernels.
 
-use crate::batch::FaceBatch;
+use crate::batch::{greedy_colors, FaceBatch};
 use crate::evaluator::{
     apply_cell_laplace, evaluate_face, evaluate_gradients, evaluate_values, integrate,
     integrate_face, integrate_ref, laplace_cell_coeff, CellScratch, FaceScratch, FaceSideDesc,
@@ -61,7 +61,7 @@ pub struct CgSpace<T: Real, const L: usize> {
     /// interior faces, which CG operators never touch).
     pub face_plans: Vec<Option<GatherPlan<L>>>,
     /// Per cell: true when no local node carries a constraint row, so
-    /// scalar gathers may index `l2g` directly.
+    /// scalar scatters may index `l2g` directly.
     pub cell_simple: Vec<bool>,
 }
 
@@ -242,89 +242,27 @@ impl<T: Real, const L: usize> CgSpace<T, L> {
         }
 
         // ---- cell-batch coloring (cells share global dofs) -----------------
-        let cell_colors = {
-            let batches = &mf.cell_batches;
-            let mut color_of_dof: Vec<Vec<u32>> = vec![Vec::new(); n_dofs];
-            let mut colors: Vec<Vec<usize>> = Vec::new();
-            for (bi, b) in batches.iter().enumerate() {
+        let cell_colors = greedy_colors(
+            n_dofs,
+            mf.cell_batches.iter().map(|b| {
                 let mut dofs: Vec<u32> = Vec::new();
-                for l in 0..b.n_filled {
-                    let cell = b.cells[l] as usize;
-                    for i in 0..dpc {
-                        let lo = row_ptr[cell * dpc + i] as usize;
-                        let hi = row_ptr[cell * dpc + i + 1] as usize;
-                        for &(d, _) in &entries[lo..hi] {
-                            dofs.push(d);
-                        }
-                    }
+                for &cell in &b.cells[..b.n_filled] {
+                    let cell = cell as usize;
+                    let lo = row_ptr[cell * dpc] as usize;
+                    let hi = row_ptr[cell * dpc + dpc] as usize;
+                    dofs.extend(entries[lo..hi].iter().map(|&(d, _)| d));
                 }
                 dofs.sort_unstable();
                 dofs.dedup();
-                let mut c = 0u32;
-                'search: loop {
-                    for &d in &dofs {
-                        if color_of_dof[d as usize].contains(&c) {
-                            c += 1;
-                            continue 'search;
-                        }
-                    }
-                    break;
-                }
-                if c as usize == colors.len() {
-                    colors.push(Vec::new());
-                }
-                colors[c as usize].push(bi);
-                for &d in &dofs {
-                    color_of_dof[d as usize].push(c);
-                }
-            }
-            colors
-        };
+                dofs
+            }),
+        );
 
-        // ---- vectorized gather/scatter plans ------------------------------
-        let build_plan = |cells: &[u32], n_filled: usize| -> GatherPlan<L> {
-            let mut idx = vec![[u32::MAX; L]; dpc];
-            let mut special = Vec::new();
-            for (l, &cell) in cells.iter().enumerate().take(n_filled) {
-                if cell == u32::MAX {
-                    continue;
-                }
-                let cell = cell as usize;
-                for (i, ix) in idx.iter_mut().enumerate() {
-                    let dof = l2g[cell * dpc + i];
-                    if constrained[dof as usize] {
-                        special.push((
-                            i as u32,
-                            l as u8,
-                            row_ptr[cell * dpc + i],
-                            row_ptr[cell * dpc + i + 1],
-                        ));
-                    } else {
-                        ix[l] = dof;
-                    }
-                }
-            }
-            GatherPlan { idx, special }
-        };
-        let cell_plans: Vec<GatherPlan<L>> = mf
-            .cell_batches
-            .iter()
-            .map(|b| build_plan(&b.cells, b.n_filled))
-            .collect();
-        let face_plans: Vec<Option<GatherPlan<L>>> = mf
-            .face_batches
-            .iter()
-            .map(|b| {
-                b.category
-                    .is_boundary
-                    .then(|| build_plan(&b.minus, b.n_filled))
-            })
-            .collect();
         let cell_simple: Vec<bool> = (0..n_cells)
             .map(|c| (0..dpc).all(|i| !constrained[l2g[c * dpc + i] as usize]))
             .collect();
 
-        Self {
+        let mut space = Self {
             mf,
             n_dofs,
             l2g,
@@ -333,29 +271,58 @@ impl<T: Real, const L: usize> CgSpace<T, L> {
             constrained,
             positions,
             cell_colors,
-            cell_plans,
-            face_plans,
+            cell_plans: Vec::new(),
+            face_plans: Vec::new(),
             cell_simple,
-        }
+        };
+        // ---- vectorized gather/scatter plans ------------------------------
+        let cell_plans = space
+            .mf
+            .cell_batches
+            .iter()
+            .map(|b| space.gather_plan(&b.cells))
+            .collect();
+        let face_plans = space
+            .mf
+            .face_batches
+            .iter()
+            .map(|b| b.category.is_boundary.then(|| space.gather_plan(&b.minus)))
+            .collect();
+        space.cell_plans = cell_plans;
+        space.face_plans = face_plans;
+        space
     }
 
-    /// Gather cell-local nodal values resolving constraints.
-    pub fn gather(&self, cell: usize, src: &[T], out: &mut [T]) {
+    /// Build the [`GatherPlan`] of one SIMD batch of cells (`u32::MAX`
+    /// marks an inactive lane).
+    pub fn gather_plan(&self, cells: &[u32; L]) -> GatherPlan<L> {
         let dpc = self.mf.dofs_per_cell;
-        if self.cell_simple[cell] {
-            // no constrained nodes: every row is exactly (l2g dof, 1)
-            let base = cell * dpc;
-            for (i, o) in out.iter_mut().enumerate().take(dpc) {
-                *o = src[self.l2g[base + i] as usize];
+        let mut idx = vec![[u32::MAX; L]; dpc];
+        let mut special = Vec::new();
+        for (l, &cell) in cells.iter().enumerate() {
+            if cell == u32::MAX {
+                continue;
             }
-            return;
+            let cell = cell as usize;
+            for (i, ix) in idx.iter_mut().enumerate() {
+                let dof = self.l2g[cell * dpc + i];
+                if self.constrained[dof as usize] {
+                    special.push((
+                        i as u32,
+                        l as u8,
+                        self.row_ptr[cell * dpc + i],
+                        self.row_ptr[cell * dpc + i + 1],
+                    ));
+                } else {
+                    ix[l] = dof;
+                }
+            }
         }
-        self.gather_ref(cell, src, out);
+        GatherPlan { idx, special }
     }
 
     /// Reference constraint gather: walk the resolved row of every local
-    /// node. Equivalence baseline for the plan-driven and `cell_simple`
-    /// fast paths.
+    /// node. Equivalence baseline for the plan-driven batch gather.
     pub fn gather_ref(&self, cell: usize, src: &[T], out: &mut [T]) {
         let dpc = self.mf.dofs_per_cell;
         for (i, o) in out.iter_mut().enumerate().take(dpc) {

@@ -65,7 +65,7 @@ fn constrained_gather_reproduces_linear_functions() {
     let nodes = dgflow_tensor::NodeSet::GaussLobatto.nodes(2);
     let mut local = vec![0.0; dpc];
     for cell in 0..space.mf.n_cells {
-        space.gather(cell, &v, &mut local);
+        space.gather_ref(cell, &v, &mut local);
         for i2 in 0..3 {
             for i1 in 0..3 {
                 for i0 in 0..3 {

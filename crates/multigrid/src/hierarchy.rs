@@ -5,6 +5,7 @@
 //! outer conjugate-gradient solver.
 
 use crate::transfer::Transfer;
+use dgflow_comm::{parallel_chunks_mut, PAR_GRAIN};
 use dgflow_fem::cg_space::{CgLaplaceOperator, CgSpace};
 use dgflow_fem::operators::laplace::BoundaryCondition;
 use dgflow_fem::{LaplaceOperator, MatrixFree, MfParams};
@@ -244,36 +245,47 @@ impl<T: Real, const L: usize> HybridMultigrid<T, L> {
     }
 
     /// One V-cycle: `x ≈ A⁻¹ b` on level `li`.
+    ///
+    /// The benchmark's V-cycle mirror (`perfbench/src/mirror.rs`) replays
+    /// this exact sequence of public calls — smooth, level apply,
+    /// restrict, recurse, prolongate, AMG — and checks its result bitwise
+    /// against this function, so reordering these calls or changing an
+    /// elementwise formula needs the mirror changed first, in a benchmark
+    /// change of its own.
     pub fn vcycle(&self, li: usize, b: &[T], x: &mut [T]) {
         let _sp = dgflow_trace::span_fine("mg", "mg.vcycle.level").meta(li as u64);
         let level = &self.levels[li];
         let n = level.op.len();
+        // `r = b - A x`
+        let residual = |x: &[T], r: &mut [T]| {
+            level.op.apply(x, r);
+            parallel_chunks_mut([r], PAR_GRAIN, |off, [r]| {
+                for (ri, &bi) in r.iter_mut().zip(&b[off..]) {
+                    *ri = bi - *ri;
+                }
+            });
+        };
         // pre-smooth from zero
         level.smoother.smooth(&level.op, b, x, true);
         let Some(transfer) = &level.transfer else {
             // last matrix-free level: additionally correct with AMG cycles
             // on its assembled matrix
             let mut r = vec![T::ZERO; n];
+            let mut c = vec![T::ZERO; n];
             for _ in 0..self.params.coarse_cycles {
-                level.op.apply(x, &mut r);
-                for i in 0..n {
-                    r[i] = b[i] - r[i];
-                }
-                let mut c = vec![T::ZERO; n];
+                residual(x, &mut r);
                 self.coarse_amg.apply_precond(&r, &mut c);
-                for i in 0..n {
-                    x[i] += c[i];
-                }
+                parallel_chunks_mut([&mut *x], PAR_GRAIN, |off, [x]| {
+                    for (xi, &ci) in x.iter_mut().zip(&c[off..]) {
+                        *xi += ci;
+                    }
+                });
             }
             level.smoother.smooth(&level.op, b, x, false);
             return;
         };
-        // residual
         let mut r = vec![T::ZERO; n];
-        level.op.apply(x, &mut r);
-        for i in 0..n {
-            r[i] = b[i] - r[i];
-        }
+        residual(x, &mut r);
         // restrict, recurse (twice for W-cycles), prolongate
         let visits = match self.params.cycle {
             CycleType::V => 1,
@@ -284,10 +296,7 @@ impl<T: Real, const L: usize> HybridMultigrid<T, L> {
         for visit in 0..visits {
             if visit > 0 {
                 // recompute the residual after the first correction
-                level.op.apply(x, &mut r);
-                for i in 0..n {
-                    r[i] = b[i] - r[i];
-                }
+                residual(x, &mut r);
             }
             transfer.restrict(&r, &mut bc);
             let mut xc = vec![T::ZERO; nc];
@@ -323,11 +332,18 @@ impl<const L: usize> Preconditioner<f64> for MixedPrecisionMg<L> {
             return;
         }
         let inv = 1.0 / scale;
-        let b32: Vec<f32> = src.iter().map(|&v| (v * inv) as f32).collect();
+        let mut b32 = vec![0.0f32; src.len()];
+        parallel_chunks_mut([&mut b32[..]], PAR_GRAIN, |off, [b]| {
+            for (bi, &v) in b.iter_mut().zip(&src[off..]) {
+                *bi = (v * inv) as f32;
+            }
+        });
         let mut x32 = vec![0.0f32; b32.len()];
         self.mg.vcycle(0, &b32, &mut x32);
-        for (d, &x) in dst.iter_mut().zip(&x32) {
-            *d = f64::from(x) * scale;
-        }
+        parallel_chunks_mut([dst], PAR_GRAIN, |off, [dst]| {
+            for (d, &x) in dst.iter_mut().zip(&x32[off..]) {
+                *d = f64::from(x) * scale;
+            }
+        });
     }
 }

@@ -8,7 +8,9 @@
 //! polynomial smoothing at scale.
 
 use crate::traits::{vec_ops, LinearOperator, Preconditioner};
+use dgflow_comm::{parallel_chunks_mut, PAR_GRAIN};
 use dgflow_simd::Real;
+use std::sync::Mutex;
 
 /// Chebyshev polynomial smoother.
 pub struct ChebyshevSmoother<T> {
@@ -20,6 +22,9 @@ pub struct ChebyshevSmoother<T> {
     delta: T,
     /// Estimated largest eigenvalue of `D^{-1} A`.
     pub lambda_max: f64,
+    /// Recycled `[r, d, A d]` work vectors, one set per concurrent caller;
+    /// every pass overwrites them before reading, so reuse is safe.
+    scratch: Mutex<Vec<[Vec<T>; 3]>>,
 }
 
 impl<T: Real> ChebyshevSmoother<T> {
@@ -71,6 +76,7 @@ impl<T: Real> ChebyshevSmoother<T> {
             theta,
             delta,
             lambda_max,
+            scratch: Mutex::new(Vec::new()),
         }
     }
 
@@ -83,45 +89,79 @@ impl<T: Real> ChebyshevSmoother<T> {
     /// Apply `degree` Chebyshev iterations to `A x = b`. With
     /// `zero_initial`, `x` is taken as 0 on entry (saves one operator
     /// application — the pre-smoothing configuration in the V-cycle).
+    ///
+    /// Each iteration's vector updates (`x += d`, `r -= A d`, the new `d`)
+    /// run as one fused elementwise pass on the thread pool; the per-entry
+    /// arithmetic is that of the plain serial loop, so the result is
+    /// bitwise independent of the thread count.
     pub fn smooth(&self, op: &dyn LinearOperator<T>, b: &[T], x: &mut [T], zero_initial: bool) {
         let n = b.len();
-        let mut r = vec![T::ZERO; n];
-        let mut d = vec![T::ZERO; n];
-        let mut ad = vec![T::ZERO; n];
-        if zero_initial {
-            x.iter_mut().for_each(|v| *v = T::ZERO);
-            r.copy_from_slice(b);
-        } else {
-            op.apply(x, &mut r);
-            for i in 0..n {
-                r[i] = b[i] - r[i];
-            }
-        }
+        let mut scratch = self
+            .scratch
+            .lock()
+            .expect("smoother scratch poisoned")
+            .pop()
+            .unwrap_or_default();
+        scratch.iter_mut().for_each(|v| v.resize(n, T::ZERO));
+        let [r, d, ad] = &mut scratch;
+        let inv_diag = &self.inv_diag[..n];
         let sigma1 = self.theta / self.delta;
         let mut rho = T::ONE / sigma1;
         let inv_theta = T::ONE / self.theta;
-        for i in 0..n {
-            d[i] = r[i] * self.inv_diag[i] * inv_theta;
+        if zero_initial {
+            parallel_chunks_mut([x, r, d], PAR_GRAIN, |off, [x, r, d]| {
+                // equal-length slices keep the loop free of bounds checks
+                let n = x.len();
+                let (r, d) = (&mut r[..n], &mut d[..n]);
+                let (b, inv_diag) = (&b[off..off + n], &inv_diag[off..off + n]);
+                for i in 0..n {
+                    x[i] = T::ZERO;
+                    r[i] = b[i];
+                    d[i] = r[i] * inv_diag[i] * inv_theta;
+                }
+            });
+        } else {
+            op.apply(x, r);
+            parallel_chunks_mut([r, d], PAR_GRAIN, |off, [r, d]| {
+                let n = r.len();
+                let d = &mut d[..n];
+                let (b, inv_diag) = (&b[off..off + n], &inv_diag[off..off + n]);
+                for i in 0..n {
+                    r[i] = b[i] - r[i];
+                    d[i] = r[i] * inv_diag[i] * inv_theta;
+                }
+            });
         }
         for k in 0..self.degree {
-            for i in 0..n {
-                x[i] += d[i];
-            }
             if k + 1 == self.degree {
+                parallel_chunks_mut([&mut *x], PAR_GRAIN, |off, [x]| {
+                    for (xi, di) in x.iter_mut().zip(&d[off..]) {
+                        *xi += *di;
+                    }
+                });
                 break;
             }
-            op.apply(&d, &mut ad);
-            for i in 0..n {
-                r[i] -= ad[i];
-            }
+            op.apply(d, ad);
             let rho_new = T::ONE / (sigma1 + sigma1 - rho);
             let c1 = rho_new * rho;
             let c2 = rho_new * T::from_f64(2.0) / self.delta;
-            for i in 0..n {
-                d[i] = d[i] * c1 + r[i] * self.inv_diag[i] * c2;
-            }
+            let ad = &ad[..];
+            parallel_chunks_mut([&mut *x, r, d], PAR_GRAIN, |off, [x, r, d]| {
+                let n = x.len();
+                let (r, d) = (&mut r[..n], &mut d[..n]);
+                let (ad, inv_diag) = (&ad[off..off + n], &inv_diag[off..off + n]);
+                for i in 0..n {
+                    x[i] += d[i];
+                    r[i] -= ad[i];
+                    d[i] = d[i] * c1 + r[i] * inv_diag[i] * c2;
+                }
+            });
             rho = rho_new;
         }
+        self.scratch
+            .lock()
+            .expect("smoother scratch poisoned")
+            .push(scratch);
     }
 }
 
@@ -167,6 +207,111 @@ mod tests {
             .map(|(ri, bi)| (ri - bi).powi(2))
             .sum::<f64>()
             .sqrt()
+    }
+
+    /// The serial update loop `smooth` had before its passes were fused
+    /// and moved onto the pool: the bitwise reference of the fused path.
+    fn smooth_serial<T: Real>(
+        s: &ChebyshevSmoother<T>,
+        op: &dyn LinearOperator<T>,
+        b: &[T],
+        x: &mut [T],
+        zero_initial: bool,
+    ) {
+        let n = b.len();
+        let mut r = vec![T::ZERO; n];
+        let mut d = vec![T::ZERO; n];
+        let mut ad = vec![T::ZERO; n];
+        if zero_initial {
+            x.iter_mut().for_each(|v| *v = T::ZERO);
+            r.copy_from_slice(b);
+        } else {
+            op.apply(x, &mut r);
+            for i in 0..n {
+                r[i] = b[i] - r[i];
+            }
+        }
+        let sigma1 = s.theta / s.delta;
+        let mut rho = T::ONE / sigma1;
+        let inv_theta = T::ONE / s.theta;
+        for i in 0..n {
+            d[i] = r[i] * s.inv_diag[i] * inv_theta;
+        }
+        for k in 0..s.degree {
+            for i in 0..n {
+                x[i] += d[i];
+            }
+            if k + 1 == s.degree {
+                break;
+            }
+            op.apply(&d, &mut ad);
+            for i in 0..n {
+                r[i] -= ad[i];
+            }
+            let rho_new = T::ONE / (sigma1 + sigma1 - rho);
+            let c1 = rho_new * rho;
+            let c2 = rho_new * T::from_f64(2.0) / s.delta;
+            for i in 0..n {
+                d[i] = d[i] * c1 + r[i] * s.inv_diag[i] * c2;
+            }
+            rho = rho_new;
+        }
+    }
+
+    /// 1-D Laplacian with a varying diagonal, so `D^{-1}` is not a scalar.
+    fn varying_laplace<T: Real>(n: usize) -> (CsrMatrix<T>, Vec<T>) {
+        let mut t = Vec::new();
+        let mut inv_diag = Vec::with_capacity(n);
+        for i in 0..n {
+            let diag = 2.0 + (i % 7) as f64 * 0.25;
+            t.push((i, i, T::from_f64(diag)));
+            inv_diag.push(T::ONE / T::from_f64(diag));
+            if i > 0 {
+                t.push((i, i - 1, T::from_f64(-1.0)));
+            }
+            if i + 1 < n {
+                t.push((i, i + 1, T::from_f64(-1.0)));
+            }
+        }
+        (CsrMatrix::from_triplets(n, n, &t), inv_diag)
+    }
+
+    fn assert_fused_matches_serial<T: Real>() {
+        let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+        // below the grain (one inline chunk), and above it (several
+        // chunks, the last one partial)
+        for n in [1000, 3 * PAR_GRAIN + 77] {
+            let (a, inv_diag) = varying_laplace::<T>(n);
+            let b: Vec<T> = (0..n)
+                .map(|i| T::from_f64(((i * 37 % 101) as f64) / 50.0 - 1.0))
+                .collect();
+            let x0: Vec<T> = (0..n)
+                .map(|i| T::from_f64(((i * 13 % 29) as f64) / 29.0))
+                .collect();
+            for degree in 1..=4 {
+                let cheb = ChebyshevSmoother::new(&a, inv_diag.clone(), degree, 20.0);
+                for zero_initial in [true, false] {
+                    let mut expect = x0.clone();
+                    smooth_serial(&cheb, &a, &b, &mut expect, zero_initial);
+                    // twice: the second call runs on recycled scratch
+                    for call in 0..2 {
+                        let mut x = x0.clone();
+                        cheb.smooth(&a, &b, &mut x, zero_initial);
+                        assert_eq!(
+                            bits(&x),
+                            bits(&expect),
+                            "n {n}, degree {degree}, zero_initial {zero_initial}, call {call}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_smooth_is_bitwise_equal_to_serial_loop() {
+        assert_fused_matches_serial::<f64>();
+        assert_fused_matches_serial::<f32>();
     }
 
     #[test]

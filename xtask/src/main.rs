@@ -670,8 +670,11 @@ fn ci() -> bool {
                 "dgflow-fem",
                 "-p",
                 "dgflow-comm",
+                "-p",
+                "dgflow-multigrid",
                 "--features",
-                "dgflow-fem/check-disjoint,dgflow-comm/check-disjoint",
+                "dgflow-fem/check-disjoint,dgflow-comm/check-disjoint,\
+                 dgflow-multigrid/check-disjoint",
             ]),
         )
         && step(
