@@ -17,8 +17,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dgflow_comm::{Communicator, SelfComm, ThreadComm};
 use dgflow_fem::distributed::{apply_distributed, build_partitions, OverlapPlan, Partition};
-use dgflow_fem::operators::laplace::BoundaryCondition;
-use dgflow_fem::{MatrixFree, MfParams};
+use dgflow_fem::{LaplaceOperator, MatrixFree, MfParams};
 use dgflow_lung::{bifurcation_tree, mesh_airway_tree, MeshParams};
 use dgflow_mesh::{Forest, TrilinearManifold};
 use std::sync::Arc;
@@ -30,7 +29,7 @@ const APPLIES: usize = 8;
 
 struct Case {
     mf: Arc<MatrixFree<f64, LANES>>,
-    bc: Vec<BoundaryCondition>,
+    op: LaplaceOperator<f64, LANES>,
     forest: Forest,
 }
 
@@ -49,8 +48,8 @@ fn case() -> Case {
         MfParams::dg(DEGREE),
     ));
     Case {
+        op: LaplaceOperator::new(mf.clone()),
         mf,
-        bc: vec![BoundaryCondition::Dirichlet],
         forest,
     }
 }
@@ -64,7 +63,7 @@ fn apply_many(comm: &dyn Communicator, case: &Case, part: &Partition, plan: &Ove
     let mut src: Vec<f64> = (0..n_local).map(|i| (i % 17) as f64 * 0.1).collect();
     let mut dst = vec![0.0; n_local];
     for _ in 0..APPLIES {
-        apply_distributed(comm, part, plan, &case.mf, &case.bc, &mut src, &mut dst);
+        apply_distributed(comm, part, plan, &case.op, &mut src, &mut dst);
         // feed the result back so the compiler cannot hoist the loop
         src[..dpc].copy_from_slice(&dst[..dpc]);
     }

@@ -21,6 +21,11 @@ fn ustride<T: Real, const L: usize>(mf: &MatrixFree<T, L>) -> usize {
     DIM * mf.dofs_per_cell
 }
 
+/// `[n; 3]` zeroed point buffers, one per velocity component.
+fn component_buffers<T: Real, const L: usize>(n: usize) -> [Vec<Simd<T, L>>; DIM] {
+    std::array::from_fn(|_| vec![Simd::zero(); n])
+}
+
 /// Weak convective term: `dst = ∫ −∇v : (u⊗u) + ⟨v, Φ*(u⁻,u⁺)·n⟩` —
 /// apply `M^{-1}` afterwards to get the strong update of Eq. (1).
 pub fn convective_term<T: Real, const L: usize>(
@@ -32,148 +37,115 @@ pub fn convective_term<T: Real, const L: usize>(
     assert!(mf.collocated(), "convective kernel assumes collocation");
     let dpc = mf.dofs_per_cell;
     let stride = ustride(mf);
-    dst.iter_mut().for_each(|v| *v = T::ZERO);
-    let out = SharedMut::new(dst);
     let nq3 = mf.n_q().pow(3);
     let nq2 = mf.n_q() * mf.n_q();
-
-    // cells
-    dgflow_comm::parallel_for_chunks(mf.cell_batches.len(), 1, |range| {
-        let mut s = CellScratch::<T, L>::new(mf);
-        let mut uq = [
-            vec![Simd::<T, L>::zero(); nq3],
-            vec![Simd::<T, L>::zero(); nq3],
-            vec![Simd::<T, L>::zero(); nq3],
-        ];
-        for bi in range {
-            let b = &mf.cell_batches[bi];
-            let g = &mf.cell_geometry[bi];
-            for (d, uqd) in uq.iter_mut().enumerate() {
-                // collocated: nodal values *are* the quadrature values, so
-                // gather straight into the batch buffer (no copy chain).
-                gather_cell(b, u, stride, d * dpc, dpc, uqd);
+    let cell = |bi: usize,
+                (s, uq): &mut (CellScratch<T, L>, [Vec<Simd<T, L>>; DIM]),
+                out: &SharedMut<T>| {
+        let b = &mf.cell_batches[bi];
+        let g = &mf.cell_geometry[bi];
+        for (d, uqd) in uq.iter_mut().enumerate() {
+            // collocated: nodal values *are* the quadrature values, so
+            // gather straight into the batch buffer (no copy chain).
+            gather_cell(b, u, stride, d * dpc, dpc, uqd);
+        }
+        for d in 0..DIM {
+            for q in 0..nq3 {
+                let jxw = g.jxw[q];
+                let m = &g.jinvt[q * 9..q * 9 + 9];
+                // flux F_d = u_d * u; ref-test flux t_c = −Σ_e J^{-T}_{ec} F_de · JxW
+                let f = [
+                    uq[d][q] * uq[0][q],
+                    uq[d][q] * uq[1][q],
+                    uq[d][q] * uq[2][q],
+                ];
+                for c in 0..DIM {
+                    s.grad[c][q] = -(f[0] * m[c] + f[1] * m[3 + c] + f[2] * m[6 + c]) * jxw;
+                }
             }
-            for d in 0..DIM {
-                for q in 0..nq3 {
-                    let jxw = g.jxw[q];
-                    let m = &g.jinvt[q * 9..q * 9 + 9];
-                    // flux F_d = u_d * u; ref-test flux t_c = −Σ_e J^{-T}_{ec} F_de · JxW
-                    let f = [
-                        uq[d][q] * uq[0][q],
-                        uq[d][q] * uq[1][q],
-                        uq[d][q] * uq[2][q],
-                    ];
-                    for c in 0..DIM {
-                        s.grad[c][q] = -(f[0] * m[c] + f[1] * m[3 + c] + f[2] * m[6 + c]) * jxw;
+            integrate(mf, s, false, true);
+            scatter_add_cell(b, &s.dofs, stride, d * dpc, dpc, out);
+        }
+    };
+    type FaceBufs<T, const L: usize> = (
+        FaceScratch<T, L>,
+        FaceScratch<T, L>,
+        [[Vec<Simd<T, L>>; DIM]; 3],
+    );
+    let face = |bi: usize, (sm, sp, [um, up, flux]): &mut FaceBufs<T, L>, out: &SharedMut<T>| {
+        let b = &mf.face_batches[bi];
+        let g = &mf.face_geometry[bi];
+        let cat = b.category;
+        let desc_m = FaceSideDesc::minus(b);
+        for d in 0..DIM {
+            gather_face_cells(&b.minus, b.n_filled, u, stride, d * dpc, dpc, &mut sm.dofs);
+            evaluate_face(mf, desc_m, false, sm);
+            um[d].copy_from_slice(&sm.val);
+        }
+        let desc_p = FaceSideDesc::plus(b);
+        if cat.is_boundary {
+            match bcs.kind(cat.boundary_id) {
+                // mirror: u⁺ = −u⁻ (no-slip)
+                BcKind::Wall => {
+                    for d in 0..DIM {
+                        for q in 0..nq2 {
+                            up[d][q] = -um[d][q];
+                        }
                     }
                 }
-                integrate(mf, &mut s, false, true);
-                scatter_add_cell(b, &s.dofs, stride, d * dpc, dpc, &out);
+                // do-nothing: u⁺ = u⁻
+                BcKind::Pressure => {
+                    for d in 0..DIM {
+                        up[d].copy_from_slice(&um[d]);
+                    }
+                }
+            }
+        } else {
+            for d in 0..DIM {
+                gather_face_cells(&b.plus, b.n_filled, u, stride, d * dpc, dpc, &mut sp.dofs);
+                evaluate_face(mf, desc_p, false, sp);
+                up[d].copy_from_slice(&sp.val);
             }
         }
-    });
-
-    // faces, per conflict color
-    for color in &mf.face_colors {
-        dgflow_comm::parallel_for_chunks(color.len(), 1, |range| {
-            let mut sm = FaceScratch::<T, L>::new(mf);
-            let mut sp = FaceScratch::<T, L>::new(mf);
-            let mut um = [
-                vec![Simd::<T, L>::zero(); nq2],
-                vec![Simd::<T, L>::zero(); nq2],
-                vec![Simd::<T, L>::zero(); nq2],
-            ];
-            let mut up = um.clone();
-            let mut flux = um.clone();
-            for k in range {
-                let bi = color[k];
-                let b = &mf.face_batches[bi];
-                let g = &mf.face_geometry[bi];
-                let cat = b.category;
-                let desc_m = FaceSideDesc::minus(b);
-                for d in 0..DIM {
-                    gather_face_cells(&b.minus, b.n_filled, u, stride, d * dpc, dpc, &mut sm.dofs);
-                    evaluate_face(mf, desc_m, false, &mut sm);
-                    um[d].copy_from_slice(&sm.val);
-                }
-                let desc_p = FaceSideDesc::plus(b);
-                if cat.is_boundary {
-                    match bcs.kind(cat.boundary_id) {
-                        // mirror: u⁺ = −u⁻ (no-slip)
-                        BcKind::Wall => {
-                            for d in 0..DIM {
-                                for q in 0..nq2 {
-                                    up[d][q] = -um[d][q];
-                                }
-                            }
-                        }
-                        // do-nothing: u⁺ = u⁻
-                        BcKind::Pressure => {
-                            for d in 0..DIM {
-                                up[d].copy_from_slice(&um[d]);
-                            }
-                        }
-                    }
-                } else {
-                    for d in 0..DIM {
-                        gather_face_cells(
-                            &b.plus,
-                            b.n_filled,
-                            u,
-                            stride,
-                            d * dpc,
-                            dpc,
-                            &mut sp.dofs,
-                        );
-                        evaluate_face(mf, desc_p, false, &mut sp);
-                        up[d].copy_from_slice(&sp.val);
-                    }
-                }
-                // pointwise LLF flux Φ_d = {{u_d u}}·n + λ/2 (u_d⁻ − u_d⁺)
-                let half = T::from_f64(0.5);
-                for q in 0..nq2 {
-                    let n = [g.normal[q * 3], g.normal[q * 3 + 1], g.normal[q * 3 + 2]];
-                    let unm = um[0][q] * n[0] + um[1][q] * n[1] + um[2][q] * n[2];
-                    let unp = up[0][q] * n[0] + up[1][q] * n[1] + up[2][q] * n[2];
-                    let lambda = unm.abs().max(unp.abs());
-                    let jxw = g.jxw[q];
-                    for d in 0..DIM {
-                        let avg = (um[d][q] * unm + up[d][q] * unp) * half;
-                        let phi = avg + lambda * half * (um[d][q] - up[d][q]);
-                        flux[d][q] = phi * jxw;
-                    }
-                }
-                for d in 0..DIM {
-                    sm.val.copy_from_slice(&flux[d]);
-                    integrate_face(mf, desc_m, false, &mut sm);
-                    scatter_add_face_cells(
-                        &b.minus,
-                        b.n_filled,
-                        &sm.dofs,
-                        stride,
-                        d * dpc,
-                        dpc,
-                        &out,
-                    );
-                    if !cat.is_boundary {
-                        for q in 0..nq2 {
-                            sp.val[q] = -flux[d][q];
-                        }
-                        integrate_face(mf, desc_p, false, &mut sp);
-                        scatter_add_face_cells(
-                            &b.plus,
-                            b.n_filled,
-                            &sp.dofs,
-                            stride,
-                            d * dpc,
-                            dpc,
-                            &out,
-                        );
-                    }
-                }
+        // pointwise LLF flux Φ_d = {{u_d u}}·n + λ/2 (u_d⁻ − u_d⁺)
+        let half = T::from_f64(0.5);
+        for q in 0..nq2 {
+            let n = [g.normal[q * 3], g.normal[q * 3 + 1], g.normal[q * 3 + 2]];
+            let unm = um[0][q] * n[0] + um[1][q] * n[1] + um[2][q] * n[2];
+            let unp = up[0][q] * n[0] + up[1][q] * n[1] + up[2][q] * n[2];
+            let lambda = unm.abs().max(unp.abs());
+            let jxw = g.jxw[q];
+            for d in 0..DIM {
+                let avg = (um[d][q] * unm + up[d][q] * unp) * half;
+                let phi = avg + lambda * half * (um[d][q] - up[d][q]);
+                flux[d][q] = phi * jxw;
             }
-        });
-    }
+        }
+        for d in 0..DIM {
+            sm.val.copy_from_slice(&flux[d]);
+            integrate_face(mf, desc_m, false, sm);
+            scatter_add_face_cells(&b.minus, b.n_filled, &sm.dofs, stride, d * dpc, dpc, out);
+            if !cat.is_boundary {
+                for q in 0..nq2 {
+                    sp.val[q] = -flux[d][q];
+                }
+                integrate_face(mf, desc_p, false, sp);
+                scatter_add_face_cells(&b.plus, b.n_filled, &sp.dofs, stride, d * dpc, dpc, out);
+            }
+        }
+    };
+    mf.loop_over(
+        None,
+        dst,
+        (|| (CellScratch::new(mf), component_buffers(nq3)), cell),
+        (
+            || {
+                let bufs = std::array::from_fn(|_| component_buffers(nq2));
+                (FaceScratch::new(mf), FaceScratch::new(mf), bufs)
+            },
+            face,
+        ),
+    );
 }
 
 /// Weak velocity divergence into the pressure space:
@@ -192,112 +164,111 @@ pub fn divergence<T: Real, const L: usize>(
     let nq3 = mf_u.n_q().pow(3);
     let nq2 = mf_u.n_q() * mf_u.n_q();
     assert_eq!(mf_u.n_q(), mf_p.n_q(), "shared quadrature required");
-    dst.iter_mut().for_each(|v| *v = T::ZERO);
-    let out = SharedMut::new(dst);
-
-    dgflow_comm::parallel_for_chunks(mf_u.cell_batches.len(), 1, |range| {
-        let mut su = CellScratch::<T, L>::new(mf_u);
-        let mut sq = CellScratch::<T, L>::new(mf_p);
-        let mut uq = [
-            vec![Simd::<T, L>::zero(); nq3],
-            vec![Simd::<T, L>::zero(); nq3],
-            vec![Simd::<T, L>::zero(); nq3],
-        ];
-        for bi in range {
-            let b = &mf_u.cell_batches[bi];
-            let g = &mf_u.cell_geometry[bi];
-            for d in 0..DIM {
-                gather_cell(b, u, stride, d * dpc_u, dpc_u, &mut su.dofs);
-                evaluate_values(mf_u, &mut su);
-                uq[d].copy_from_slice(&su.quad);
-            }
-            for q in 0..nq3 {
-                let jxw = g.jxw[q];
-                let m = &g.jinvt[q * 9..q * 9 + 9];
-                for c in 0..DIM {
-                    sq.grad[c][q] =
-                        -(uq[0][q] * m[c] + uq[1][q] * m[3 + c] + uq[2][q] * m[6 + c]) * jxw;
-                }
-            }
-            integrate(mf_p, &mut sq, false, true);
-            scatter_add_cell(b, &sq.dofs, dpc_p, 0, dpc_p, &out);
+    type CellBufs<T, const L: usize> =
+        (CellScratch<T, L>, CellScratch<T, L>, [Vec<Simd<T, L>>; DIM]);
+    let cell = |bi: usize, (su, sq, uq): &mut CellBufs<T, L>, out: &SharedMut<T>| {
+        let b = &mf_u.cell_batches[bi];
+        let g = &mf_u.cell_geometry[bi];
+        for d in 0..DIM {
+            gather_cell(b, u, stride, d * dpc_u, dpc_u, &mut su.dofs);
+            evaluate_values(mf_u, su);
+            uq[d].copy_from_slice(&su.quad);
         }
-    });
-
-    for color in &mf_u.face_colors {
-        dgflow_comm::parallel_for_chunks(color.len(), 1, |range| {
-            let mut sm = FaceScratch::<T, L>::new(mf_u);
-            let mut sp = FaceScratch::<T, L>::new(mf_u);
-            let mut qm = FaceScratch::<T, L>::new(mf_p);
-            let mut qp = FaceScratch::<T, L>::new(mf_p);
-            let mut un_avg = vec![Simd::<T, L>::zero(); nq2];
-            for k in range {
-                let bi = color[k];
-                let b = &mf_u.face_batches[bi];
-                let g = &mf_u.face_geometry[bi];
-                let cat = b.category;
-                let desc_m = FaceSideDesc::minus(b);
-                let desc_p = FaceSideDesc::plus(b);
-                for v in un_avg.iter_mut() {
-                    *v = Simd::zero();
-                }
-                let half = T::from_f64(0.5);
-                for d in 0..DIM {
-                    gather_face_cells(
-                        &b.minus,
-                        b.n_filled,
-                        u,
-                        stride,
-                        d * dpc_u,
-                        dpc_u,
-                        &mut sm.dofs,
-                    );
-                    evaluate_face(mf_u, desc_m, false, &mut sm);
-                    if cat.is_boundary {
-                        match bcs.kind(cat.boundary_id) {
-                            BcKind::Wall => { /* mirror: {{u}} = 0 */ }
-                            BcKind::Pressure => {
-                                for q in 0..nq2 {
-                                    un_avg[q] += sm.val[q] * g.normal[q * 3 + d];
-                                }
-                            }
-                        }
-                    } else {
-                        gather_face_cells(
-                            &b.plus,
-                            b.n_filled,
-                            u,
-                            stride,
-                            d * dpc_u,
-                            dpc_u,
-                            &mut sp.dofs,
-                        );
-                        evaluate_face(mf_u, desc_p, false, &mut sp);
+        for q in 0..nq3 {
+            let jxw = g.jxw[q];
+            let m = &g.jinvt[q * 9..q * 9 + 9];
+            for c in 0..DIM {
+                sq.grad[c][q] =
+                    -(uq[0][q] * m[c] + uq[1][q] * m[3 + c] + uq[2][q] * m[6 + c]) * jxw;
+            }
+        }
+        integrate(mf_p, sq, false, true);
+        scatter_add_cell(b, &sq.dofs, dpc_p, 0, dpc_p, out);
+    };
+    type FaceBufs<T, const L: usize> = ([FaceScratch<T, L>; 4], Vec<Simd<T, L>>);
+    let face = |bi: usize, ([sm, sp, qm, qp], un_avg): &mut FaceBufs<T, L>, out: &SharedMut<T>| {
+        let b = &mf_u.face_batches[bi];
+        let g = &mf_u.face_geometry[bi];
+        let cat = b.category;
+        let desc_m = FaceSideDesc::minus(b);
+        let desc_p = FaceSideDesc::plus(b);
+        un_avg.fill(Simd::zero());
+        let half = T::from_f64(0.5);
+        for d in 0..DIM {
+            gather_face_cells(
+                &b.minus,
+                b.n_filled,
+                u,
+                stride,
+                d * dpc_u,
+                dpc_u,
+                &mut sm.dofs,
+            );
+            evaluate_face(mf_u, desc_m, false, sm);
+            if cat.is_boundary {
+                match bcs.kind(cat.boundary_id) {
+                    BcKind::Wall => { /* mirror: {{u}} = 0 */ }
+                    BcKind::Pressure => {
                         for q in 0..nq2 {
-                            un_avg[q] += (sm.val[q] + sp.val[q]) * half * g.normal[q * 3 + d];
+                            un_avg[q] += sm.val[q] * g.normal[q * 3 + d];
                         }
                     }
                 }
-                if cat.is_boundary && bcs.kind(cat.boundary_id) == BcKind::Wall {
-                    continue;
-                }
+            } else {
+                gather_face_cells(
+                    &b.plus,
+                    b.n_filled,
+                    u,
+                    stride,
+                    d * dpc_u,
+                    dpc_u,
+                    &mut sp.dofs,
+                );
+                evaluate_face(mf_u, desc_p, false, sp);
                 for q in 0..nq2 {
-                    qm.val[q] = un_avg[q] * g.jxw[q];
-                }
-                if !cat.is_boundary {
-                    for q in 0..nq2 {
-                        qp.val[q] = -qm.val[q];
-                    }
-                }
-                integrate_face(mf_p, desc_m, false, &mut qm);
-                scatter_add_face_cells(&b.minus, b.n_filled, &qm.dofs, dpc_p, 0, dpc_p, &out);
-                if !cat.is_boundary {
-                    integrate_face(mf_p, desc_p, false, &mut qp);
-                    scatter_add_face_cells(&b.plus, b.n_filled, &qp.dofs, dpc_p, 0, dpc_p, &out);
+                    un_avg[q] += (sm.val[q] + sp.val[q]) * half * g.normal[q * 3 + d];
                 }
             }
-        });
-    }
+        }
+        if cat.is_boundary && bcs.kind(cat.boundary_id) == BcKind::Wall {
+            return;
+        }
+        for q in 0..nq2 {
+            qm.val[q] = un_avg[q] * g.jxw[q];
+        }
+        if !cat.is_boundary {
+            for q in 0..nq2 {
+                qp.val[q] = -qm.val[q];
+            }
+        }
+        integrate_face(mf_p, desc_m, false, qm);
+        scatter_add_face_cells(&b.minus, b.n_filled, &qm.dofs, dpc_p, 0, dpc_p, out);
+        if !cat.is_boundary {
+            integrate_face(mf_p, desc_p, false, qp);
+            scatter_add_face_cells(&b.plus, b.n_filled, &qp.dofs, dpc_p, 0, dpc_p, out);
+        }
+    };
+    mf_u.loop_over(
+        None,
+        dst,
+        (
+            || {
+                (
+                    CellScratch::new(mf_u),
+                    CellScratch::new(mf_p),
+                    component_buffers(nq3),
+                )
+            },
+            cell,
+        ),
+        (
+            || {
+                let s = [mf_u, mf_u, mf_p, mf_p].map(FaceScratch::new);
+                (s, vec![Simd::zero(); nq2])
+            },
+            face,
+        ),
+    );
 }
 
 /// Weak pressure gradient into the velocity space:
@@ -316,103 +287,106 @@ pub fn gradient<T: Real, const L: usize>(
     let stride = ustride(mf_u);
     let nq3 = mf_u.n_q().pow(3);
     let nq2 = mf_u.n_q() * mf_u.n_q();
-    dst.iter_mut().for_each(|v| *v = T::ZERO);
-    let out = SharedMut::new(dst);
-
-    dgflow_comm::parallel_for_chunks(mf_u.cell_batches.len(), 1, |range| {
-        let mut su = CellScratch::<T, L>::new(mf_u);
-        let mut sq = CellScratch::<T, L>::new(mf_p);
-        let mut pq = vec![Simd::<T, L>::zero(); nq3];
-        for bi in range {
-            let b = &mf_u.cell_batches[bi];
-            let g = &mf_u.cell_geometry[bi];
-            gather_cell(b, p, dpc_p, 0, dpc_p, &mut sq.dofs);
-            evaluate_values(mf_p, &mut sq);
-            pq.copy_from_slice(&sq.quad);
-            for d in 0..DIM {
-                for q in 0..nq3 {
-                    let jxw = g.jxw[q];
-                    let m = &g.jinvt[q * 9..q * 9 + 9];
-                    let s = -(pq[q] * jxw);
-                    for c in 0..DIM {
-                        su.grad[c][q] = m[3 * d + c] * s;
-                    }
+    type CellBufs<T, const L: usize> = (CellScratch<T, L>, CellScratch<T, L>, Vec<Simd<T, L>>);
+    let cell = |bi: usize, (su, sq, pq): &mut CellBufs<T, L>, out: &SharedMut<T>| {
+        let b = &mf_u.cell_batches[bi];
+        let g = &mf_u.cell_geometry[bi];
+        gather_cell(b, p, dpc_p, 0, dpc_p, &mut sq.dofs);
+        evaluate_values(mf_p, sq);
+        pq.copy_from_slice(&sq.quad);
+        for d in 0..DIM {
+            for q in 0..nq3 {
+                let jxw = g.jxw[q];
+                let m = &g.jinvt[q * 9..q * 9 + 9];
+                let s = -(pq[q] * jxw);
+                for c in 0..DIM {
+                    su.grad[c][q] = m[3 * d + c] * s;
                 }
-                integrate(mf_u, &mut su, false, true);
-                scatter_add_cell(b, &su.dofs, stride, d * dpc_u, dpc_u, &out);
             }
+            integrate(mf_u, su, false, true);
+            scatter_add_cell(b, &su.dofs, stride, d * dpc_u, dpc_u, out);
         }
-    });
-
-    for color in &mf_u.face_colors {
-        dgflow_comm::parallel_for_chunks(color.len(), 1, |range| {
-            let mut su_m = FaceScratch::<T, L>::new(mf_u);
-            let mut su_p = FaceScratch::<T, L>::new(mf_u);
-            let mut qm = FaceScratch::<T, L>::new(mf_p);
-            let mut qp = FaceScratch::<T, L>::new(mf_p);
-            let mut p_avg = vec![Simd::<T, L>::zero(); nq2];
-            for k in range {
-                let bi = color[k];
-                let b = &mf_u.face_batches[bi];
-                let g = &mf_u.face_geometry[bi];
-                let cat = b.category;
-                let desc_m = FaceSideDesc::minus(b);
-                let desc_p = FaceSideDesc::plus(b);
-                gather_face_cells(&b.minus, b.n_filled, p, dpc_p, 0, dpc_p, &mut qm.dofs);
-                evaluate_face(mf_p, desc_m, false, &mut qm);
-                if cat.is_boundary {
-                    match bcs.kind(cat.boundary_id) {
-                        BcKind::Wall => p_avg.copy_from_slice(&qm.val),
-                        BcKind::Pressure => {
-                            let gp = T::from_f64(bcs.pressure(cat.boundary_id));
-                            for v in p_avg.iter_mut() {
-                                *v = Simd::splat(gp);
-                            }
-                        }
-                    }
-                } else {
-                    gather_face_cells(&b.plus, b.n_filled, p, dpc_p, 0, dpc_p, &mut qp.dofs);
-                    evaluate_face(mf_p, desc_p, false, &mut qp);
-                    let half = T::from_f64(0.5);
-                    for q in 0..nq2 {
-                        p_avg[q] = (qm.val[q] + qp.val[q]) * half;
+    };
+    type FaceBufs<T, const L: usize> = ([FaceScratch<T, L>; 4], Vec<Simd<T, L>>);
+    let face =
+        |bi: usize, ([su_m, su_p, qm, qp], p_avg): &mut FaceBufs<T, L>, out: &SharedMut<T>| {
+            let b = &mf_u.face_batches[bi];
+            let g = &mf_u.face_geometry[bi];
+            let cat = b.category;
+            let desc_m = FaceSideDesc::minus(b);
+            let desc_p = FaceSideDesc::plus(b);
+            gather_face_cells(&b.minus, b.n_filled, p, dpc_p, 0, dpc_p, &mut qm.dofs);
+            evaluate_face(mf_p, desc_m, false, qm);
+            if cat.is_boundary {
+                match bcs.kind(cat.boundary_id) {
+                    BcKind::Wall => p_avg.copy_from_slice(&qm.val),
+                    BcKind::Pressure => {
+                        let gp = T::from_f64(bcs.pressure(cat.boundary_id));
+                        p_avg.fill(Simd::splat(gp));
                     }
                 }
-                for d in 0..DIM {
+            } else {
+                gather_face_cells(&b.plus, b.n_filled, p, dpc_p, 0, dpc_p, &mut qp.dofs);
+                evaluate_face(mf_p, desc_p, false, qp);
+                let half = T::from_f64(0.5);
+                for q in 0..nq2 {
+                    p_avg[q] = (qm.val[q] + qp.val[q]) * half;
+                }
+            }
+            for d in 0..DIM {
+                for q in 0..nq2 {
+                    su_m.val[q] = p_avg[q] * g.normal[q * 3 + d] * g.jxw[q];
+                }
+                if !cat.is_boundary {
                     for q in 0..nq2 {
-                        su_m.val[q] = p_avg[q] * g.normal[q * 3 + d] * g.jxw[q];
+                        su_p.val[q] = -su_m.val[q];
                     }
-                    if !cat.is_boundary {
-                        for q in 0..nq2 {
-                            su_p.val[q] = -su_m.val[q];
-                        }
-                    }
-                    integrate_face(mf_u, desc_m, false, &mut su_m);
+                }
+                integrate_face(mf_u, desc_m, false, su_m);
+                scatter_add_face_cells(
+                    &b.minus,
+                    b.n_filled,
+                    &su_m.dofs,
+                    stride,
+                    d * dpc_u,
+                    dpc_u,
+                    out,
+                );
+                if !cat.is_boundary {
+                    integrate_face(mf_u, desc_p, false, su_p);
                     scatter_add_face_cells(
-                        &b.minus,
+                        &b.plus,
                         b.n_filled,
-                        &su_m.dofs,
+                        &su_p.dofs,
                         stride,
                         d * dpc_u,
                         dpc_u,
-                        &out,
+                        out,
                     );
-                    if !cat.is_boundary {
-                        integrate_face(mf_u, desc_p, false, &mut su_p);
-                        scatter_add_face_cells(
-                            &b.plus,
-                            b.n_filled,
-                            &su_p.dofs,
-                            stride,
-                            d * dpc_u,
-                            dpc_u,
-                            &out,
-                        );
-                    }
                 }
             }
-        });
-    }
+        };
+    mf_u.loop_over(
+        None,
+        dst,
+        (
+            || {
+                (
+                    CellScratch::new(mf_u),
+                    CellScratch::new(mf_p),
+                    vec![Simd::zero(); nq3],
+                )
+            },
+            cell,
+        ),
+        (
+            || {
+                let s = [mf_u, mf_u, mf_p, mf_p].map(FaceScratch::new);
+                (s, vec![Simd::zero(); nq2])
+            },
+            face,
+        ),
+    );
 }
 
 /// Helmholtz operator of the viscous step: `(γ₀/Δt) M + ν L`, applied to
@@ -533,139 +507,117 @@ impl<'a, T: Real, const L: usize> LinearOperator<T> for PenaltyOperator<'a, T, L
         let stride = ustride(mf);
         let nq3 = mf.n_q().pow(3);
         let nq2 = mf.n_q() * mf.n_q();
-        // mass part
-        for (bi, b) in mf.cell_batches.iter().enumerate() {
+        // mass part plus the div-div cell term
+        let cell = |bi: usize,
+                    (s, divu): &mut (CellScratch<T, L>, Vec<Simd<T, L>>),
+                    out: &SharedMut<T>| {
+            let b = &mf.cell_batches[bi];
             let g = &mf.cell_geometry[bi];
             for l in 0..b.n_filled {
                 let base = stride * b.cells[l] as usize;
-                for d in 0..DIM {
-                    for i in 0..dpc {
-                        dst[base + d * dpc + i] = src[base + d * dpc + i] * g.jxw[i][l];
-                    }
+                for i in 0..DIM * dpc {
+                    // SAFETY: the loop runs concurrently only cell batches
+                    // with disjoint cells, and this lane's cell is ours
+                    unsafe { out.write(base + i, src[base + i] * g.jxw[i % dpc][l]) };
                 }
             }
-        }
-        let out = SharedMut::new(dst);
-        // div-div cell term
-        dgflow_comm::parallel_for_chunks(mf.cell_batches.len(), 1, |range| {
-            let mut s = CellScratch::<T, L>::new(mf);
-            let mut divu = vec![Simd::<T, L>::zero(); nq3];
-            for bi in range {
-                let b = &mf.cell_batches[bi];
-                let g = &mf.cell_geometry[bi];
-                let mut adiv = Simd::<T, L>::zero();
-                for l in 0..b.n_filled {
-                    adiv[l] = self.a_div[b.cells[l] as usize];
-                }
-                for v in divu.iter_mut() {
-                    *v = Simd::zero();
-                }
-                for d in 0..DIM {
-                    gather_cell(b, src, stride, d * dpc, dpc, &mut s.dofs);
-                    evaluate_values(mf, &mut s);
-                    evaluate_gradients(mf, &mut s);
-                    for q in 0..nq3 {
-                        let m = &g.jinvt[q * 9..q * 9 + 9];
-                        divu[q] += s.grad[0][q] * m[3 * d]
-                            + s.grad[1][q] * m[3 * d + 1]
-                            + s.grad[2][q] * m[3 * d + 2];
-                    }
-                }
-                for d in 0..DIM {
-                    for q in 0..nq3 {
-                        let m = &g.jinvt[q * 9..q * 9 + 9];
-                        let t = divu[q] * adiv * self.dt * g.jxw[q];
-                        for c in 0..DIM {
-                            s.grad[c][q] = m[3 * d + c] * t;
-                        }
-                    }
-                    integrate(mf, &mut s, false, true);
-                    scatter_add_cell(b, &s.dofs, stride, d * dpc, dpc, &out);
+            let mut adiv = Simd::<T, L>::zero();
+            for l in 0..b.n_filled {
+                adiv[l] = self.a_div[b.cells[l] as usize];
+            }
+            divu.fill(Simd::zero());
+            for d in 0..DIM {
+                gather_cell(b, src, stride, d * dpc, dpc, &mut s.dofs);
+                evaluate_values(mf, s);
+                evaluate_gradients(mf, s);
+                for q in 0..nq3 {
+                    let m = &g.jinvt[q * 9..q * 9 + 9];
+                    divu[q] += s.grad[0][q] * m[3 * d]
+                        + s.grad[1][q] * m[3 * d + 1]
+                        + s.grad[2][q] * m[3 * d + 2];
                 }
             }
-        });
+            for d in 0..DIM {
+                for q in 0..nq3 {
+                    let m = &g.jinvt[q * 9..q * 9 + 9];
+                    let t = divu[q] * adiv * self.dt * g.jxw[q];
+                    for c in 0..DIM {
+                        s.grad[c][q] = m[3 * d + c] * t;
+                    }
+                }
+                integrate(mf, s, false, true);
+                scatter_add_cell(b, &s.dofs, stride, d * dpc, dpc, out);
+            }
+        };
         // normal-continuity face term (interior faces only)
-        for color in &mf.face_colors {
-            dgflow_comm::parallel_for_chunks(color.len(), 1, |range| {
-                let mut sm = FaceScratch::<T, L>::new(mf);
-                let mut sp = FaceScratch::<T, L>::new(mf);
-                let mut jump_n = vec![Simd::<T, L>::zero(); nq2];
-                let mut um = [
-                    vec![Simd::<T, L>::zero(); nq2],
-                    vec![Simd::<T, L>::zero(); nq2],
-                    vec![Simd::<T, L>::zero(); nq2],
-                ];
-                let mut up = um.clone();
-                for k in range {
-                    let bi = color[k];
-                    let b = &mf.face_batches[bi];
-                    if b.category.is_boundary {
-                        continue;
-                    }
-                    let g = &mf.face_geometry[bi];
-                    let desc_m = FaceSideDesc::minus(b);
-                    let desc_p = FaceSideDesc::plus(b);
-                    for d in 0..DIM {
-                        gather_face_cells(
-                            &b.minus,
-                            b.n_filled,
-                            src,
-                            stride,
-                            d * dpc,
-                            dpc,
-                            &mut sm.dofs,
-                        );
-                        evaluate_face(mf, desc_m, false, &mut sm);
-                        um[d].copy_from_slice(&sm.val);
-                        gather_face_cells(
-                            &b.plus,
-                            b.n_filled,
-                            src,
-                            stride,
-                            d * dpc,
-                            dpc,
-                            &mut sp.dofs,
-                        );
-                        evaluate_face(mf, desc_p, false, &mut sp);
-                        up[d].copy_from_slice(&sp.val);
-                    }
-                    let ac = self.a_cont[bi];
-                    for q in 0..nq2 {
-                        let mut j = Simd::<T, L>::zero();
-                        for d in 0..DIM {
-                            j += (um[d][q] - up[d][q]) * g.normal[q * 3 + d];
-                        }
-                        jump_n[q] = j * ac * self.dt * g.jxw[q];
-                    }
-                    for d in 0..DIM {
-                        for q in 0..nq2 {
-                            sm.val[q] = jump_n[q] * g.normal[q * 3 + d];
-                            sp.val[q] = -sm.val[q];
-                        }
-                        integrate_face(mf, desc_m, false, &mut sm);
-                        scatter_add_face_cells(
-                            &b.minus,
-                            b.n_filled,
-                            &sm.dofs,
-                            stride,
-                            d * dpc,
-                            dpc,
-                            &out,
-                        );
-                        integrate_face(mf, desc_p, false, &mut sp);
-                        scatter_add_face_cells(
-                            &b.plus,
-                            b.n_filled,
-                            &sp.dofs,
-                            stride,
-                            d * dpc,
-                            dpc,
-                            &out,
-                        );
-                    }
+        type FaceBufs<T, const L: usize> = (
+            FaceScratch<T, L>,
+            FaceScratch<T, L>,
+            Vec<Simd<T, L>>,
+            [[Vec<Simd<T, L>>; DIM]; 2],
+        );
+        let face = |bi: usize,
+                    (sm, sp, jump_n, [um, up]): &mut FaceBufs<T, L>,
+                    out: &SharedMut<T>| {
+            let b = &mf.face_batches[bi];
+            if b.category.is_boundary {
+                return;
+            }
+            let g = &mf.face_geometry[bi];
+            let desc_m = FaceSideDesc::minus(b);
+            let desc_p = FaceSideDesc::plus(b);
+            for d in 0..DIM {
+                gather_face_cells(
+                    &b.minus,
+                    b.n_filled,
+                    src,
+                    stride,
+                    d * dpc,
+                    dpc,
+                    &mut sm.dofs,
+                );
+                evaluate_face(mf, desc_m, false, sm);
+                um[d].copy_from_slice(&sm.val);
+                gather_face_cells(&b.plus, b.n_filled, src, stride, d * dpc, dpc, &mut sp.dofs);
+                evaluate_face(mf, desc_p, false, sp);
+                up[d].copy_from_slice(&sp.val);
+            }
+            let ac = self.a_cont[bi];
+            for q in 0..nq2 {
+                let mut j = Simd::<T, L>::zero();
+                for d in 0..DIM {
+                    j += (um[d][q] - up[d][q]) * g.normal[q * 3 + d];
                 }
-            });
-        }
+                jump_n[q] = j * ac * self.dt * g.jxw[q];
+            }
+            for d in 0..DIM {
+                for q in 0..nq2 {
+                    sm.val[q] = jump_n[q] * g.normal[q * 3 + d];
+                    sp.val[q] = -sm.val[q];
+                }
+                integrate_face(mf, desc_m, false, sm);
+                scatter_add_face_cells(&b.minus, b.n_filled, &sm.dofs, stride, d * dpc, dpc, out);
+                integrate_face(mf, desc_p, false, sp);
+                scatter_add_face_cells(&b.plus, b.n_filled, &sp.dofs, stride, d * dpc, dpc, out);
+            }
+        };
+        mf.loop_over(
+            None,
+            dst,
+            (|| (CellScratch::new(mf), vec![Simd::zero(); nq3]), cell),
+            (
+                || {
+                    let bufs = [component_buffers(nq2), component_buffers(nq2)];
+                    (
+                        FaceScratch::new(mf),
+                        FaceScratch::new(mf),
+                        vec![Simd::zero(); nq2],
+                        bufs,
+                    )
+                },
+                face,
+            ),
+        );
     }
 
     fn diagonal(&self) -> Vec<T> {

@@ -44,135 +44,126 @@ pub fn advect_term<const L: usize>(
     let stride_u = DIM * dpc;
     let nq3 = mf.n_q().pow(3);
     let nq2 = mf.n_q() * mf.n_q();
-    dst.iter_mut().for_each(|v| *v = 0.0);
-    let out = SharedMut::new(dst);
     let bc_of = |id: u32| bcs.get(id as usize).copied().unwrap_or(ScalarBc::Outflow);
+    let qvec = |n: usize| vec![Simd::<f64, L>::zero(); n];
 
     // cells: -(∇q, c u)
-    dgflow_comm::parallel_for_chunks(mf.cell_batches.len(), 1, |range| {
-        let mut s = CellScratch::<f64, L>::new(mf);
-        let mut cq = vec![Simd::<f64, L>::zero(); nq3];
-        let mut uq = [
-            vec![Simd::<f64, L>::zero(); nq3],
-            vec![Simd::<f64, L>::zero(); nq3],
-            vec![Simd::<f64, L>::zero(); nq3],
-        ];
-        for bi in range {
-            let b = &mf.cell_batches[bi];
-            let g = &mf.cell_geometry[bi];
-            gather_cell(b, c, dpc, 0, dpc, &mut s.dofs);
-            evaluate_values(mf, &mut s);
-            cq.copy_from_slice(&s.quad);
-            for d in 0..DIM {
-                gather_cell(b, u, stride_u, d * dpc, dpc, &mut s.dofs);
-                evaluate_values(mf, &mut s);
-                uq[d].copy_from_slice(&s.quad);
-            }
-            for q in 0..nq3 {
-                let jxw = g.jxw[q];
-                let m = &g.jinvt[q * 9..q * 9 + 9];
-                let f = [cq[q] * uq[0][q], cq[q] * uq[1][q], cq[q] * uq[2][q]];
-                for cc in 0..DIM {
-                    s.grad[cc][q] = -(f[0] * m[cc] + f[1] * m[3 + cc] + f[2] * m[6 + cc]) * jxw;
-                }
-            }
-            integrate(mf, &mut s, false, true);
-            scatter_add_cell(b, &s.dofs, dpc, 0, dpc, &out);
+    type CellBufs<const L: usize> = (CellScratch<f64, L>, [Vec<Simd<f64, L>>; 4]);
+    let cell = |bi: usize, (s, [cq, uq @ ..]): &mut CellBufs<L>, out: &SharedMut<f64>| {
+        let b = &mf.cell_batches[bi];
+        let g = &mf.cell_geometry[bi];
+        gather_cell(b, c, dpc, 0, dpc, &mut s.dofs);
+        evaluate_values(mf, s);
+        cq.copy_from_slice(&s.quad);
+        for d in 0..DIM {
+            gather_cell(b, u, stride_u, d * dpc, dpc, &mut s.dofs);
+            evaluate_values(mf, s);
+            uq[d].copy_from_slice(&s.quad);
         }
-    });
+        for q in 0..nq3 {
+            let jxw = g.jxw[q];
+            let m = &g.jinvt[q * 9..q * 9 + 9];
+            let f = [cq[q] * uq[0][q], cq[q] * uq[1][q], cq[q] * uq[2][q]];
+            for cc in 0..DIM {
+                s.grad[cc][q] = -(f[0] * m[cc] + f[1] * m[3 + cc] + f[2] * m[6 + cc]) * jxw;
+            }
+        }
+        integrate(mf, s, false, true);
+        scatter_add_cell(b, &s.dofs, dpc, 0, dpc, out);
+    };
 
     // faces: upwind flux ĉ (u·n)
-    for color in &mf.face_colors {
-        dgflow_comm::parallel_for_chunks(color.len(), 1, |range| {
-            let mut sm = FaceScratch::<f64, L>::new(mf);
-            let mut sp = FaceScratch::<f64, L>::new(mf);
-            let mut cm = vec![Simd::<f64, L>::zero(); nq2];
-            let mut cp = vec![Simd::<f64, L>::zero(); nq2];
-            let mut un = vec![Simd::<f64, L>::zero(); nq2];
-            for k in range {
-                let bi = color[k];
-                let b = &mf.face_batches[bi];
-                let g = &mf.face_geometry[bi];
-                let cat = b.category;
-                let desc_m = FaceSideDesc::minus(b);
-                let desc_p = FaceSideDesc::plus(b);
-                // normal velocity (average of the two traces)
-                for v in un.iter_mut() {
-                    *v = Simd::zero();
-                }
-                for d in 0..DIM {
-                    gather_face_cells(
-                        &b.minus,
-                        b.n_filled,
-                        u,
-                        stride_u,
-                        d * dpc,
-                        dpc,
-                        &mut sm.dofs,
-                    );
-                    evaluate_face(mf, desc_m, false, &mut sm);
-                    if cat.is_boundary {
-                        for q in 0..nq2 {
-                            un[q] += sm.val[q] * g.normal[q * 3 + d];
-                        }
-                    } else {
-                        gather_face_cells(
-                            &b.plus,
-                            b.n_filled,
-                            u,
-                            stride_u,
-                            d * dpc,
-                            dpc,
-                            &mut sp.dofs,
-                        );
-                        evaluate_face(mf, desc_p, false, &mut sp);
-                        for q in 0..nq2 {
-                            un[q] +=
-                                (sm.val[q] + sp.val[q]) * Simd::splat(0.5) * g.normal[q * 3 + d];
-                        }
-                    }
-                }
-                // scalar traces
-                gather_face_cells(&b.minus, b.n_filled, c, dpc, 0, dpc, &mut sm.dofs);
-                evaluate_face(mf, desc_m, false, &mut sm);
-                cm.copy_from_slice(&sm.val);
-                if cat.is_boundary {
-                    match bc_of(cat.boundary_id) {
-                        ScalarBc::Dirichlet(value) => {
-                            // upwind: use the prescribed value where the
-                            // flow enters, the interior trace where it exits
-                            for q in 0..nq2 {
-                                for l in 0..b.n_filled {
-                                    cp[q][l] = if un[q][l] < 0.0 { value } else { cm[q][l] };
-                                }
-                            }
-                        }
-                        ScalarBc::Outflow => cp.copy_from_slice(&cm),
-                    }
-                } else {
-                    gather_face_cells(&b.plus, b.n_filled, c, dpc, 0, dpc, &mut sp.dofs);
-                    evaluate_face(mf, desc_p, false, &mut sp);
-                    cp.copy_from_slice(&sp.val);
-                }
-                // upwind flux: ĉ u·n = {{c}} u·n + |u·n|/2 [[c]]
+    type FaceBufs<const L: usize> = (
+        FaceScratch<f64, L>,
+        FaceScratch<f64, L>,
+        [Vec<Simd<f64, L>>; 3],
+    );
+    let face = |bi: usize, (sm, sp, [cm, cp, un]): &mut FaceBufs<L>, out: &SharedMut<f64>| {
+        let b = &mf.face_batches[bi];
+        let g = &mf.face_geometry[bi];
+        let cat = b.category;
+        let desc_m = FaceSideDesc::minus(b);
+        let desc_p = FaceSideDesc::plus(b);
+        // normal velocity (average of the two traces)
+        un.fill(Simd::zero());
+        for d in 0..DIM {
+            gather_face_cells(
+                &b.minus,
+                b.n_filled,
+                u,
+                stride_u,
+                d * dpc,
+                dpc,
+                &mut sm.dofs,
+            );
+            evaluate_face(mf, desc_m, false, sm);
+            if cat.is_boundary {
                 for q in 0..nq2 {
-                    let avg = (cm[q] + cp[q]) * Simd::splat(0.5);
-                    let jump = cm[q] - cp[q];
-                    let flux = (avg * un[q] + un[q].abs() * Simd::splat(0.5) * jump) * g.jxw[q];
-                    sm.val[q] = flux;
-                    sp.val[q] = -flux;
+                    un[q] += sm.val[q] * g.normal[q * 3 + d];
                 }
-                let flux_p: Vec<Simd<f64, L>> = sp.val.clone();
-                integrate_face(mf, desc_m, false, &mut sm);
-                scatter_add_face_cells(&b.minus, b.n_filled, &sm.dofs, dpc, 0, dpc, &out);
-                if !cat.is_boundary {
-                    sp.val.copy_from_slice(&flux_p);
-                    integrate_face(mf, desc_p, false, &mut sp);
-                    scatter_add_face_cells(&b.plus, b.n_filled, &sp.dofs, dpc, 0, dpc, &out);
+            } else {
+                gather_face_cells(&b.plus, b.n_filled, u, stride_u, d * dpc, dpc, &mut sp.dofs);
+                evaluate_face(mf, desc_p, false, sp);
+                for q in 0..nq2 {
+                    un[q] += (sm.val[q] + sp.val[q]) * Simd::splat(0.5) * g.normal[q * 3 + d];
                 }
             }
-        });
-    }
+        }
+        // scalar traces
+        gather_face_cells(&b.minus, b.n_filled, c, dpc, 0, dpc, &mut sm.dofs);
+        evaluate_face(mf, desc_m, false, sm);
+        cm.copy_from_slice(&sm.val);
+        if cat.is_boundary {
+            match bc_of(cat.boundary_id) {
+                ScalarBc::Dirichlet(value) => {
+                    // upwind: use the prescribed value where the
+                    // flow enters, the interior trace where it exits
+                    for q in 0..nq2 {
+                        for l in 0..b.n_filled {
+                            cp[q][l] = if un[q][l] < 0.0 { value } else { cm[q][l] };
+                        }
+                    }
+                }
+                ScalarBc::Outflow => cp.copy_from_slice(cm),
+            }
+        } else {
+            gather_face_cells(&b.plus, b.n_filled, c, dpc, 0, dpc, &mut sp.dofs);
+            evaluate_face(mf, desc_p, false, sp);
+            cp.copy_from_slice(&sp.val);
+        }
+        // upwind flux: ĉ u·n = {{c}} u·n + |u·n|/2 [[c]]
+        for q in 0..nq2 {
+            let avg = (cm[q] + cp[q]) * Simd::splat(0.5);
+            let jump = cm[q] - cp[q];
+            let flux = (avg * un[q] + un[q].abs() * Simd::splat(0.5) * jump) * g.jxw[q];
+            sm.val[q] = flux;
+            sp.val[q] = -flux;
+        }
+        integrate_face(mf, desc_m, false, sm);
+        scatter_add_face_cells(&b.minus, b.n_filled, &sm.dofs, dpc, 0, dpc, out);
+        if !cat.is_boundary {
+            integrate_face(mf, desc_p, false, sp);
+            scatter_add_face_cells(&b.plus, b.n_filled, &sp.dofs, dpc, 0, dpc, out);
+        }
+    };
+    mf.loop_over(
+        None,
+        dst,
+        (
+            || (CellScratch::new(mf), std::array::from_fn(|_| qvec(nq3))),
+            cell,
+        ),
+        (
+            || {
+                (
+                    FaceScratch::new(mf),
+                    FaceScratch::new(mf),
+                    std::array::from_fn(|_| qvec(nq2)),
+                )
+            },
+            face,
+        ),
+    );
 }
 
 /// IMEX scalar transport solver bound to a velocity space.

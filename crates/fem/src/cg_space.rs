@@ -7,13 +7,16 @@
 //! The Laplacian on these levels needs only cell integrals (the function is
 //! continuous) plus Nitsche boundary faces — reusing the DG kernels.
 
-use crate::batch::{greedy_colors, FaceBatch};
+use crate::batch::greedy_colors;
 use crate::evaluator::{
-    apply_cell_laplace, evaluate_face, evaluate_gradients, evaluate_values, integrate,
-    integrate_face, integrate_ref, laplace_cell_coeff, CellScratch, FaceScratch, FaceSideDesc,
+    apply_cell_laplace, evaluate_gradients, evaluate_values, integrate_ref, laplace_cell_coeff,
+    CellScratch, FaceScratch,
 };
 use crate::matrixfree::{tangential, MatrixFree, MfParams};
 use crate::operators::laplace::BoundaryCondition;
+use crate::operators::sipg::{
+    boundary_column, cell_column, contract_two_stage, nitsche_boundary_term, nitsche_lifting,
+};
 use crate::util::SharedMut;
 use dgflow_mesh::{Forest, Manifold};
 use dgflow_simd::{Real, Simd};
@@ -466,41 +469,60 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
             .unwrap_or(BoundaryCondition::Dirichlet)
     }
 
-    /// Reference batch gather: per-lane scalar constraint gathers through
-    /// [`CgSpace::gather_ref`], transposed into lanes. Equivalence baseline
-    /// for the plan-driven [`CgSpace::gather_batch`].
-    fn gather_batch_ref(&self, b: &crate::batch::CellBatch<L>, src: &[T], out: &mut [Simd<T, L>]) {
-        let space = &*self.space;
-        let dpc = space.mf.dofs_per_cell;
-        let mut local = vec![T::ZERO; dpc];
-        for v in out.iter_mut() {
-            *v = Simd::zero();
-        }
-        for l in 0..b.n_filled {
-            space.gather_ref(b.cells[l] as usize, src, &mut local);
-            for i in 0..dpc {
-                out[i][l] = local[i];
+    /// Reference batch gather of the lane cells `cells[..n]`: per-lane
+    /// scalar constraint gathers through [`CgSpace::gather_ref`],
+    /// transposed into lanes. Equivalence baseline for the plan-driven
+    /// [`CgSpace::gather_batch`].
+    fn gather_batch_ref(&self, cells: &[u32; L], n: usize, src: &[T], out: &mut [Simd<T, L>]) {
+        let mut local = vec![T::ZERO; out.len()];
+        out.fill(Simd::zero());
+        for l in 0..n {
+            self.space.gather_ref(cells[l] as usize, src, &mut local);
+            for (o, v) in out.iter_mut().zip(&local) {
+                o[l] = *v;
             }
         }
     }
 
-    /// Reference batch scatter: per-lane transpose then scalar row walks.
+    /// Reference batch scatter: per-lane transpose then scalar row walks
+    /// (also the scatter of the one-time right-hand-side assembly).
     fn scatter_batch_ref(
         &self,
-        b: &crate::batch::CellBatch<L>,
+        cells: &[u32; L],
+        n: usize,
         vals: &[Simd<T, L>],
         dst: &SharedMut<T>,
     ) {
-        let space = &*self.space;
-        let dpc = space.mf.dofs_per_cell;
-        let mut local = vec![T::ZERO; dpc];
-        for l in 0..b.n_filled {
-            for i in 0..dpc {
-                local[i] = vals[i][l];
+        let mut local = vec![T::ZERO; vals.len()];
+        for l in 0..n {
+            for (v, o) in local.iter_mut().zip(vals) {
+                *v = o[l];
             }
-            // SAFETY: callers iterate one cell color at a time, so batches
-            // scattered concurrently target dof-disjoint cells.
-            unsafe { space.scatter_add(b.cells[l] as usize, &local, dst) };
+            // SAFETY: concurrent callers are the matrix-free loop's cell
+            // groups, which are dof-disjoint; the face passes are serial.
+            unsafe { self.space.scatter_add(cells[l] as usize, &local, dst) };
+        }
+    }
+
+    /// The boundary plan of face batch `bi` when it carries a Nitsche
+    /// term (a Dirichlet boundary face).
+    fn nitsche_plan(&self, bi: usize) -> Option<&GatherPlan<L>> {
+        let cat = self.space.mf.face_batches[bi].category;
+        let dirichlet =
+            cat.is_boundary && self.bc_of(cat.boundary_id) == BoundaryCondition::Dirichlet;
+        dirichlet.then(|| {
+            self.space.face_plans[bi]
+                .as_ref()
+                .expect("boundary faces have plans")
+        })
+    }
+
+    /// Constrained rows act as identity.
+    fn copy_constrained(&self, src: &[T], dst: &mut [T]) {
+        for (i, &c) in self.space.constrained.iter().enumerate() {
+            if c {
+                dst[i] = src[i];
+            }
         }
     }
 
@@ -511,89 +533,35 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
     pub fn apply_reference(&self, src: &[T], dst: &mut [T]) {
         let space = &*self.space;
         let mf = &*space.mf;
-        dst.iter_mut().for_each(|v| *v = T::ZERO);
-        let out = SharedMut::new(dst);
-        let nq3 = mf.n_q().pow(3);
-        for color in &space.cell_colors {
-            dgflow_comm::parallel_for_chunks(color.len(), 1, |range| {
-                let mut s = CellScratch::<T, L>::new(mf);
-                for k in range {
-                    let bi = color[k];
+        mf.loop_over_groups(
+            None,
+            dst,
+            &space.cell_colors,
+            (
+                || CellScratch::new(mf),
+                |bi, s, out| {
                     let b = &mf.cell_batches[bi];
-                    let g = &mf.cell_geometry[bi];
-                    self.gather_batch_ref(b, src, &mut s.dofs);
-                    evaluate_values(mf, &mut s);
-                    evaluate_gradients(mf, &mut s);
-                    for q in 0..nq3 {
-                        let gr = [s.grad[0][q], s.grad[1][q], s.grad[2][q]];
-                        let jxw = g.jxw[q];
-                        let m = &g.jinvt[q * 9..q * 9 + 9];
-                        let mut t = [Simd::<T, L>::zero(); 3];
-                        for r in 0..3 {
-                            t[r] = (gr[0] * m[3 * r] + gr[1] * m[3 * r + 1] + gr[2] * m[3 * r + 2])
-                                * jxw;
-                        }
-                        for c in 0..3 {
-                            s.grad[c][q] = t[0] * m[c] + t[1] * m[3 + c] + t[2] * m[6 + c];
-                        }
+                    self.gather_batch_ref(&b.cells, b.n_filled, src, &mut s.dofs);
+                    evaluate_values(mf, s);
+                    evaluate_gradients(mf, s);
+                    contract_two_stage(&mf.cell_geometry[bi], s);
+                    integrate_ref(mf, s, false, true);
+                    self.scatter_batch_ref(&b.cells, b.n_filled, &s.dofs, out);
+                },
+            ),
+            (
+                || FaceScratch::new(mf),
+                |bi, sm, out| {
+                    if self.nitsche_plan(bi).is_some() {
+                        let b = &mf.face_batches[bi];
+                        self.gather_batch_ref(&b.minus, b.n_filled, src, &mut sm.dofs);
+                        nitsche_boundary_term(mf, bi, sm);
+                        self.scatter_batch_ref(&b.minus, b.n_filled, &sm.dofs, out);
                     }
-                    integrate_ref(mf, &mut s, false, true);
-                    self.scatter_batch_ref(b, &s.dofs, &out);
-                }
-            });
-        }
-        let nq2 = mf.n_q() * mf.n_q();
-        let mut sm = FaceScratch::<T, L>::new(mf);
-        for (bi, b) in mf.face_batches.iter().enumerate() {
-            let cat: &crate::batch::FaceCategory = &b.category;
-            if !cat.is_boundary || self.bc_of(cat.boundary_id) == BoundaryCondition::Neumann {
-                continue;
-            }
-            let fb: &FaceBatch<L> = b;
-            let g = &mf.face_geometry[bi];
-            let dpc = mf.dofs_per_cell;
-            let mut local = vec![T::ZERO; dpc];
-            for v in sm.dofs.iter_mut() {
-                *v = Simd::zero();
-            }
-            for l in 0..fb.n_filled {
-                if fb.minus[l] == u32::MAX {
-                    continue;
-                }
-                space.gather_ref(fb.minus[l] as usize, src, &mut local);
-                for i in 0..dpc {
-                    sm.dofs[i][l] = local[i];
-                }
-            }
-            let desc = FaceSideDesc::minus(fb);
-            evaluate_face(mf, desc, true, &mut sm);
-            for q in 0..nq2 {
-                let u = sm.val[q];
-                let dn = sm.grad[0][q] * g.g_minus[q * 3]
-                    + sm.grad[1][q] * g.g_minus[q * 3 + 1]
-                    + sm.grad[2][q] * g.g_minus[q * 3 + 2];
-                let jxw = g.jxw[q];
-                let vflux = (u * g.sigma * T::from_f64(2.0) - dn) * jxw;
-                let gsc = -(u * jxw);
-                sm.val[q] = vflux;
-                for d in 0..3 {
-                    sm.grad[d][q] = g.g_minus[q * 3 + d] * gsc;
-                }
-            }
-            integrate_face(mf, desc, true, &mut sm);
-            for l in 0..fb.n_filled {
-                for i in 0..dpc {
-                    local[i] = sm.dofs[i][l];
-                }
-                // SAFETY: the boundary loop is serial.
-                unsafe { space.scatter_add(fb.minus[l] as usize, &local, &out) };
-            }
-        }
-        for (i, &c) in space.constrained.iter().enumerate() {
-            if c {
-                dst[i] = src[i];
-            }
-        }
+                },
+            ),
+        );
+        self.copy_constrained(src, dst);
     }
 
     /// Dirichlet boundary data → right-hand side (Nitsche lifting).
@@ -602,40 +570,11 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
         let mf = &*space.mf;
         let mut rhs = vec![T::ZERO; space.n_dofs];
         let dst = SharedMut::new(&mut rhs);
-        let nq2 = mf.n_q() * mf.n_q();
-        let dpc = mf.dofs_per_cell;
         let mut sm = FaceScratch::<T, L>::new(mf);
-        let mut local = vec![T::ZERO; dpc];
         for (bi, b) in mf.face_batches.iter().enumerate() {
-            let cat = b.category;
-            if !cat.is_boundary || self.bc_of(cat.boundary_id) != BoundaryCondition::Dirichlet {
-                continue;
-            }
-            let g = &mf.face_geometry[bi];
-            for q in 0..nq2 {
-                let mut gv = Simd::<T, L>::zero();
-                for l in 0..b.n_filled {
-                    let x = [
-                        g.positions[q * 3][l].to_f64(),
-                        g.positions[q * 3 + 1][l].to_f64(),
-                        g.positions[q * 3 + 2][l].to_f64(),
-                    ];
-                    gv[l] = T::from_f64(gfun(x));
-                }
-                let jxw = g.jxw[q];
-                sm.val[q] = gv * g.sigma * T::from_f64(2.0) * jxw;
-                for d in 0..3 {
-                    sm.grad[d][q] = -(g.g_minus[q * 3 + d] * gv * jxw);
-                }
-            }
-            integrate_face(mf, FaceSideDesc::minus(b), true, &mut sm);
-            for l in 0..b.n_filled {
-                for i in 0..dpc {
-                    local[i] = sm.dofs[i][l];
-                }
-                // SAFETY: the boundary-face loop runs one face color at a
-                // time, so concurrent scatters hit dof-disjoint cells.
-                unsafe { space.scatter_add(b.minus[l] as usize, &local, &dst) };
+            if self.nitsche_plan(bi).is_some() {
+                nitsche_lifting(mf, bi, gfun, &mut sm);
+                self.scatter_batch_ref(&b.minus, b.n_filled, &sm.dofs, &dst);
             }
         }
         for (i, &c) in space.constrained.iter().enumerate() {
@@ -646,88 +585,49 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
         rhs
     }
 
+    /// Walk the columns of every local matrix, the cell blocks first, then
+    /// the Nitsche boundary blocks: `f(cell, j, column, lane)` for each
+    /// filled lane of each column `j`.
+    fn local_columns(&self, mut f: impl FnMut(u32, usize, &[Simd<T, L>], usize)) {
+        let mf = &*self.space.mf;
+        let dpc = mf.dofs_per_cell;
+        let mut s = CellScratch::<T, L>::new(mf);
+        for (bi, b) in mf.cell_batches.iter().enumerate() {
+            for j in 0..dpc {
+                cell_column(mf, bi, j, &mut s);
+                for l in 0..b.n_filled {
+                    f(b.cells[l], j, &s.dofs, l);
+                }
+            }
+        }
+        let mut sf = FaceScratch::<T, L>::new(mf);
+        for (bi, b) in mf.face_batches.iter().enumerate() {
+            if self.nitsche_plan(bi).is_none() {
+                continue;
+            }
+            for j in 0..dpc {
+                boundary_column(mf, bi, j, &mut sf);
+                for l in 0..b.n_filled {
+                    f(b.minus[l], j, &sf.dofs, l);
+                }
+            }
+        }
+    }
+
     /// Approximate diagonal (exact on cell blocks, constraint-distributed
     /// with squared weights — the standard matrix-free approximation).
     pub fn compute_diagonal(&self) -> Vec<T> {
         let space = &*self.space;
-        let mf = &*space.mf;
-        let dpc = mf.dofs_per_cell;
-        let nq3 = mf.n_q().pow(3);
+        let dpc = space.mf.dofs_per_cell;
         let mut diag = vec![T::ZERO; space.n_dofs];
-        let mut s = CellScratch::<T, L>::new(mf);
-        for (bi, b) in mf.cell_batches.iter().enumerate() {
-            let g = &mf.cell_geometry[bi];
-            for i in 0..dpc {
-                for v in s.dofs.iter_mut() {
-                    *v = Simd::zero();
-                }
-                s.dofs[i] = Simd::splat(T::ONE);
-                evaluate_values(mf, &mut s);
-                evaluate_gradients(mf, &mut s);
-                for q in 0..nq3 {
-                    let gr = [s.grad[0][q], s.grad[1][q], s.grad[2][q]];
-                    let jxw = g.jxw[q];
-                    let m = &g.jinvt[q * 9..q * 9 + 9];
-                    let mut t = [Simd::<T, L>::zero(); 3];
-                    for r in 0..3 {
-                        t[r] =
-                            (gr[0] * m[3 * r] + gr[1] * m[3 * r + 1] + gr[2] * m[3 * r + 2]) * jxw;
-                    }
-                    for c in 0..3 {
-                        s.grad[c][q] = t[0] * m[c] + t[1] * m[3 + c] + t[2] * m[6 + c];
-                    }
-                }
-                integrate(mf, &mut s, false, true);
-                for l in 0..b.n_filled {
-                    let cell = b.cells[l] as usize;
-                    let lo = space.row_ptr[cell * dpc + i] as usize;
-                    let hi = space.row_ptr[cell * dpc + i + 1] as usize;
-                    for &(d, w) in &space.entries[lo..hi] {
-                        diag[d as usize] += w * w * s.dofs[i][l];
-                    }
-                }
+        self.local_columns(|cell, i, column, l| {
+            let cell = cell as usize;
+            let lo = space.row_ptr[cell * dpc + i] as usize;
+            let hi = space.row_ptr[cell * dpc + i + 1] as usize;
+            for &(d, w) in &space.entries[lo..hi] {
+                diag[d as usize] += w * w * column[i][l];
             }
-        }
-        // boundary Nitsche contributions
-        let nq2 = mf.n_q() * mf.n_q();
-        let mut sf = FaceScratch::<T, L>::new(mf);
-        for (bi, b) in mf.face_batches.iter().enumerate() {
-            let cat = b.category;
-            if !cat.is_boundary || self.bc_of(cat.boundary_id) == BoundaryCondition::Neumann {
-                continue;
-            }
-            let g = &mf.face_geometry[bi];
-            let desc = FaceSideDesc::minus(b);
-            for i in 0..dpc {
-                for v in sf.dofs.iter_mut() {
-                    *v = Simd::zero();
-                }
-                sf.dofs[i] = Simd::splat(T::ONE);
-                evaluate_face(mf, desc, true, &mut sf);
-                for q in 0..nq2 {
-                    let u = sf.val[q];
-                    let dn = sf.grad[0][q] * g.g_minus[q * 3]
-                        + sf.grad[1][q] * g.g_minus[q * 3 + 1]
-                        + sf.grad[2][q] * g.g_minus[q * 3 + 2];
-                    let jxw = g.jxw[q];
-                    let vflux = (u * g.sigma * T::from_f64(2.0) - dn) * jxw;
-                    let gsc = -(u * jxw);
-                    sf.val[q] = vflux;
-                    for d in 0..3 {
-                        sf.grad[d][q] = g.g_minus[q * 3 + d] * gsc;
-                    }
-                }
-                integrate_face(mf, desc, true, &mut sf);
-                for l in 0..b.n_filled {
-                    let cell = b.minus[l] as usize;
-                    let lo = space.row_ptr[cell * dpc + i] as usize;
-                    let hi = space.row_ptr[cell * dpc + i + 1] as usize;
-                    for &(d, w) in &space.entries[lo..hi] {
-                        diag[d as usize] += w * w * sf.dofs[i][l];
-                    }
-                }
-            }
-        }
+        });
         for (i, &c) in space.constrained.iter().enumerate() {
             if c || diag[i].to_f64() == 0.0 {
                 diag[i] = T::ONE;
@@ -742,101 +642,27 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
     /// the constraint weights on both sides.
     pub fn assemble(&self) -> dgflow_solvers::CsrMatrix<T> {
         let space = &*self.space;
-        let mf = &*space.mf;
         let n = space.n_dofs;
-        let dpc = mf.dofs_per_cell;
-        let nq3 = mf.n_q().pow(3);
-        let nq2 = mf.n_q() * mf.n_q();
+        let dpc = space.mf.dofs_per_cell;
         let mut triplets: Vec<(usize, usize, T)> = Vec::new();
-        let scatter_local =
-            |cell: usize, j_local: usize, column: &[T], triplets: &mut Vec<(usize, usize, T)>| {
-                let lo_j = space.row_ptr[cell * dpc + j_local] as usize;
-                let hi_j = space.row_ptr[cell * dpc + j_local + 1] as usize;
-                for i_local in 0..dpc {
-                    let v = column[i_local];
-                    if v.to_f64() == 0.0 {
-                        continue;
-                    }
-                    let lo_i = space.row_ptr[cell * dpc + i_local] as usize;
-                    let hi_i = space.row_ptr[cell * dpc + i_local + 1] as usize;
-                    for &(di, wi) in &space.entries[lo_i..hi_i] {
-                        for &(dj, wj) in &space.entries[lo_j..hi_j] {
-                            triplets.push((di as usize, dj as usize, wi * v * wj));
-                        }
-                    }
+        self.local_columns(|cell, j_local, column, l| {
+            let cell = cell as usize;
+            let lo_j = space.row_ptr[cell * dpc + j_local] as usize;
+            let hi_j = space.row_ptr[cell * dpc + j_local + 1] as usize;
+            for i_local in 0..dpc {
+                let v = column[i_local][l];
+                if v.to_f64() == 0.0 {
+                    continue;
                 }
-            };
-        // cell blocks
-        let mut s = CellScratch::<T, L>::new(mf);
-        let mut column = vec![T::ZERO; dpc];
-        for (bi, b) in mf.cell_batches.iter().enumerate() {
-            let g = &mf.cell_geometry[bi];
-            for j in 0..dpc {
-                for v in s.dofs.iter_mut() {
-                    *v = Simd::zero();
-                }
-                s.dofs[j] = Simd::splat(T::ONE);
-                evaluate_values(mf, &mut s);
-                evaluate_gradients(mf, &mut s);
-                for q in 0..nq3 {
-                    let gr = [s.grad[0][q], s.grad[1][q], s.grad[2][q]];
-                    let jxw = g.jxw[q];
-                    let m = &g.jinvt[q * 9..q * 9 + 9];
-                    let mut t = [Simd::<T, L>::zero(); 3];
-                    for r in 0..3 {
-                        t[r] =
-                            (gr[0] * m[3 * r] + gr[1] * m[3 * r + 1] + gr[2] * m[3 * r + 2]) * jxw;
+                let lo_i = space.row_ptr[cell * dpc + i_local] as usize;
+                let hi_i = space.row_ptr[cell * dpc + i_local + 1] as usize;
+                for &(di, wi) in &space.entries[lo_i..hi_i] {
+                    for &(dj, wj) in &space.entries[lo_j..hi_j] {
+                        triplets.push((di as usize, dj as usize, wi * v * wj));
                     }
-                    for c in 0..3 {
-                        s.grad[c][q] = t[0] * m[c] + t[1] * m[3 + c] + t[2] * m[6 + c];
-                    }
-                }
-                integrate(mf, &mut s, false, true);
-                for l in 0..b.n_filled {
-                    for (i, cv) in column.iter_mut().enumerate() {
-                        *cv = s.dofs[i][l];
-                    }
-                    scatter_local(b.cells[l] as usize, j, &column, &mut triplets);
                 }
             }
-        }
-        // boundary Nitsche faces
-        let mut sf = FaceScratch::<T, L>::new(mf);
-        for (bi, b) in mf.face_batches.iter().enumerate() {
-            let cat = b.category;
-            if !cat.is_boundary || self.bc_of(cat.boundary_id) == BoundaryCondition::Neumann {
-                continue;
-            }
-            let g = &mf.face_geometry[bi];
-            let desc = FaceSideDesc::minus(b);
-            for j in 0..dpc {
-                for v in sf.dofs.iter_mut() {
-                    *v = Simd::zero();
-                }
-                sf.dofs[j] = Simd::splat(T::ONE);
-                evaluate_face(mf, desc, true, &mut sf);
-                for q in 0..nq2 {
-                    let u = sf.val[q];
-                    let dn = sf.grad[0][q] * g.g_minus[q * 3]
-                        + sf.grad[1][q] * g.g_minus[q * 3 + 1]
-                        + sf.grad[2][q] * g.g_minus[q * 3 + 2];
-                    let jxw = g.jxw[q];
-                    let vflux = (u * g.sigma * T::from_f64(2.0) - dn) * jxw;
-                    let gsc = -(u * jxw);
-                    sf.val[q] = vflux;
-                    for d in 0..3 {
-                        sf.grad[d][q] = g.g_minus[q * 3 + d] * gsc;
-                    }
-                }
-                integrate_face(mf, desc, true, &mut sf);
-                for l in 0..b.n_filled {
-                    for (i, cv) in column.iter_mut().enumerate() {
-                        *cv = sf.dofs[i][l];
-                    }
-                    scatter_local(b.minus[l] as usize, j, &column, &mut triplets);
-                }
-            }
-        }
+        });
         // identity rows for constrained dofs
         for (i, &c) in space.constrained.iter().enumerate() {
             if c {
@@ -853,74 +679,38 @@ impl<T: Real, const L: usize> LinearOperator<T> for CgLaplaceOperator<T, L> {
     }
 
     fn apply(&self, src: &[T], dst: &mut [T]) {
-        let _sp = dgflow_trace::span("fem", "cg_laplace.apply").work(self.flops_per_apply);
         let space = &*self.space;
         let mf = &*space.mf;
-        dst.iter_mut().for_each(|v| *v = T::ZERO);
-        let out = SharedMut::new(dst);
-        // Scratch buffers are recycled across chunks and colors (every
-        // kernel stage fully overwrites its buffer, so reuse is safe); the
-        // lock is per chunk, not per batch.
-        let scratch_pool: std::sync::Mutex<Vec<CellScratch<T, L>>> =
-            std::sync::Mutex::new(Vec::new());
-        for color in &space.cell_colors {
-            dgflow_comm::parallel_for_chunks(color.len(), 1, |range| {
-                let mut s = {
-                    let mut pool = scratch_pool.lock().expect("scratch pool poisoned");
-                    pool.pop()
-                }
-                .unwrap_or_else(|| CellScratch::<T, L>::new(mf));
-                for k in range {
-                    let bi = color[k];
+        mf.loop_over_groups(
+            Some(("cg_laplace.apply", self.flops_per_apply)),
+            dst,
+            &space.cell_colors,
+            (
+                || CellScratch::new(mf),
+                |bi, s, out| {
                     let plan = &space.cell_plans[bi];
                     space.gather_batch(plan, src, &mut s.dofs);
-                    apply_cell_laplace(mf, &self.coeff[bi], &mut s);
-                    // SAFETY: batches within a color are dof-disjoint.
-                    unsafe { space.scatter_add_batch(plan, &s.dofs, &out) };
-                }
-                scratch_pool.lock().expect("scratch pool poisoned").push(s);
-            });
-        }
-        // boundary Nitsche faces (serial: boundary share of work is small
-        // and correctness is simpler without a second coloring)
-        let nq2 = mf.n_q() * mf.n_q();
-        let mut sm = FaceScratch::<T, L>::new(mf);
-        for (bi, b) in mf.face_batches.iter().enumerate() {
-            let cat: &crate::batch::FaceCategory = &b.category;
-            if !cat.is_boundary || self.bc_of(cat.boundary_id) == BoundaryCondition::Neumann {
-                continue;
-            }
-            let fb: &FaceBatch<L> = b;
-            let g = &mf.face_geometry[bi];
-            let plan = space.face_plans[bi]
-                .as_ref()
-                .expect("boundary faces have plans");
-            space.gather_batch(plan, src, &mut sm.dofs);
-            let desc = FaceSideDesc::minus(fb);
-            evaluate_face(mf, desc, true, &mut sm);
-            for q in 0..nq2 {
-                let u = sm.val[q];
-                let dn = sm.grad[0][q] * g.g_minus[q * 3]
-                    + sm.grad[1][q] * g.g_minus[q * 3 + 1]
-                    + sm.grad[2][q] * g.g_minus[q * 3 + 2];
-                let jxw = g.jxw[q];
-                let vflux = (u * g.sigma * T::from_f64(2.0) - dn) * jxw;
-                let gsc = -(u * jxw);
-                sm.val[q] = vflux;
-                for d in 0..3 {
-                    sm.grad[d][q] = g.g_minus[q * 3 + d] * gsc;
-                }
-            }
-            integrate_face(mf, desc, true, &mut sm);
-            // SAFETY: the boundary loop is serial.
-            unsafe { space.scatter_add_batch(plan, &sm.dofs, &out) };
-        }
-        // constrained rows act as identity
-        for (i, &c) in space.constrained.iter().enumerate() {
-            if c {
-                dst[i] = src[i];
-            }
-        }
+                    apply_cell_laplace(mf, &self.coeff[bi], s);
+                    // SAFETY: the loop runs one cell color at a time, and
+                    // the batches of a color are dof-disjoint.
+                    unsafe { space.scatter_add_batch(plan, &s.dofs, out) };
+                },
+            ),
+            // boundary Nitsche faces (serial: boundary share of work is
+            // small and correctness is simpler without a second coloring)
+            (
+                || FaceScratch::new(mf),
+                |bi, sm, out| {
+                    if let Some(plan) = self.nitsche_plan(bi) {
+                        space.gather_batch(plan, src, &mut sm.dofs);
+                        nitsche_boundary_term(mf, bi, sm);
+                        // SAFETY: the loop runs the face pass serially.
+                        unsafe { space.scatter_add_batch(plan, &sm.dofs, out) };
+                    }
+                },
+            ),
+        );
+        self.copy_constrained(src, dst);
     }
 
     fn diagonal(&self) -> Vec<T> {

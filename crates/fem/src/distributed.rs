@@ -15,13 +15,9 @@
 //! thread ranks, as it would be between MPI ranks on one node using shared
 //! memory windows; all *solution data* flows through messages only.
 
-use crate::batch::FaceBatch;
-use crate::evaluator::{
-    evaluate_face, evaluate_gradients, evaluate_values, integrate, integrate_face, CellScratch,
-    FaceScratch, FaceSideDesc,
-};
+use crate::evaluator::{CellScratch, FaceScratch};
 use crate::matrixfree::MatrixFree;
-use crate::operators::laplace::BoundaryCondition;
+use crate::operators::laplace::LaplaceOperator;
 use dgflow_comm::{Communicator, GhostPattern};
 use dgflow_mesh::Forest;
 use dgflow_simd::{Real, Simd};
@@ -258,9 +254,11 @@ impl OverlapPlan {
     }
 }
 
-/// One distributed application of the SIPG Laplacian on this rank:
+/// One distributed application of the SIPG Laplacian `op` on this rank:
 /// `dst_owned = (L src)_owned`, with `src`/`dst` in rank-local layout
-/// (owned block then ghosts, `f64` wire format).
+/// (owned block then ghosts, `f64` wire format). The batches run the
+/// operator's own fused cell and face kernels, through rank-local
+/// gathers and scatters.
 ///
 /// The evaluation order is the overlap schedule: the halo exchange is
 /// *started*, the plan's interior batches are swept while it is in
@@ -272,8 +270,7 @@ pub fn apply_distributed<T: Real, const L: usize>(
     comm: &dyn Communicator,
     part: &Partition,
     plan: &OverlapPlan,
-    mf: &MatrixFree<T, L>,
-    bc: &[BoundaryCondition],
+    op: &LaplaceOperator<T, L>,
     src: &mut [f64],
     dst: &mut Vec<f64>,
 ) {
@@ -282,31 +279,24 @@ pub fn apply_distributed<T: Real, const L: usize>(
     dst.clear();
     dst.resize(part.n_local(), 0.0);
 
-    let mut s = CellScratch::<T, L>::new(mf);
-    let mut sm = FaceScratch::<T, L>::new(mf);
-    let mut sp = FaceScratch::<T, L>::new(mf);
+    let mut s = CellScratch::<T, L>::new(&op.mf);
+    let mut sf = (
+        FaceScratch::<T, L>::new(&op.mf),
+        FaceScratch::<T, L>::new(&op.mf),
+    );
 
     // post the halo sends, sweep the interior while the wire is busy
     let epoch = part.pattern.start_update(comm, src, n_owned);
     {
         let _sp = dgflow_trace::span("comm", "comm.overlap_interior");
-        cell_sweep(part, mf, &plan.interior_cells, src, dst, &mut s);
-        face_sweep(
-            part,
-            mf,
-            bc,
-            &plan.interior_faces,
-            src,
-            dst,
-            &mut sm,
-            &mut sp,
-        );
+        cell_sweep(part, op, &plan.interior_cells, src, dst, &mut s);
+        face_sweep(part, op, &plan.interior_faces, src, dst, &mut sf);
     }
     part.pattern.finish_update(comm, src, n_owned, epoch);
 
     // ghost data is in: the boundary-adjacent remainder
-    cell_sweep(part, mf, &plan.halo_cells, src, dst, &mut s);
-    face_sweep(part, mf, bc, &plan.halo_faces, src, dst, &mut sm, &mut sp);
+    cell_sweep(part, op, &plan.halo_cells, src, dst, &mut s);
+    face_sweep(part, op, &plan.halo_faces, src, dst, &mut sf);
 
     // return remotely accumulated contributions to their owners
     part.pattern.compress_add(comm, dst, n_owned);
@@ -316,129 +306,51 @@ pub fn apply_distributed<T: Real, const L: usize>(
 /// batches recompute shared lanes).
 fn cell_sweep<T: Real, const L: usize>(
     part: &Partition,
-    mf: &MatrixFree<T, L>,
+    op: &LaplaceOperator<T, L>,
     batches: &[u32],
     src: &[f64],
     dst: &mut [f64],
     s: &mut CellScratch<T, L>,
 ) {
+    let mf = &*op.mf;
     let dpc = mf.dofs_per_cell;
-    let owner_ok = |cell: u32| part.own_cells.contains(&(cell as usize));
-    let nq3 = mf.n_q().pow(3);
     for &bi in batches {
-        let bi = bi as usize;
-        let b = &mf.cell_batches[bi];
-        let g = &mf.cell_geometry[bi];
+        let b = &mf.cell_batches[bi as usize];
         gather_local(part, &b.cells, b.n_filled, src, dpc, &mut s.dofs);
-        evaluate_values(mf, s);
-        evaluate_gradients(mf, s);
-        for q in 0..nq3 {
-            let gr = [s.grad[0][q], s.grad[1][q], s.grad[2][q]];
-            let jxw = g.jxw[q];
-            let m = &g.jinvt[q * 9..q * 9 + 9];
-            let mut t = [Simd::<T, L>::zero(); 3];
-            for r in 0..3 {
-                t[r] = (gr[0] * m[3 * r] + gr[1] * m[3 * r + 1] + gr[2] * m[3 * r + 2]) * jxw;
-            }
-            for c in 0..3 {
-                s.grad[c][q] = t[0] * m[c] + t[1] * m[3 + c] + t[2] * m[6 + c];
-            }
-        }
-        integrate(mf, s, false, true);
+        op.cell_term(bi as usize, s);
         scatter_local(part, &b.cells, b.n_filled, &s.dofs, dpc, dst, |l| {
-            owner_ok(b.cells[l])
+            part.own_cells.contains(&(b.cells[l] as usize))
         });
     }
 }
 
 /// Face integrals of the listed batches (minus-owned faces only; plus
 /// contributions may land in ghost slots and return through compress).
-#[allow(clippy::too_many_arguments)]
 fn face_sweep<T: Real, const L: usize>(
     part: &Partition,
-    mf: &MatrixFree<T, L>,
-    bc: &[BoundaryCondition],
+    op: &LaplaceOperator<T, L>,
     batches: &[u32],
     src: &[f64],
     dst: &mut [f64],
-    sm: &mut FaceScratch<T, L>,
-    sp: &mut FaceScratch<T, L>,
+    s: &mut (FaceScratch<T, L>, FaceScratch<T, L>),
 ) {
+    let mf = &*op.mf;
     let dpc = mf.dofs_per_cell;
-    let owner_ok = |cell: u32| part.own_cells.contains(&(cell as usize));
-    let bc_of = |id: u32| {
-        bc.get(id as usize)
-            .copied()
-            .unwrap_or(BoundaryCondition::Dirichlet)
-    };
-    let nq2 = mf.n_q() * mf.n_q();
     for &bi in batches {
-        let bi = bi as usize;
-        let b = &mf.face_batches[bi];
-        let mine = |l: usize| owner_ok(b.minus[l]);
-        let fb: &FaceBatch<L> = b;
-        let g = &mf.face_geometry[bi];
-        let cat = fb.category;
-        if cat.is_boundary && bc_of(cat.boundary_id) == BoundaryCondition::Neumann {
-            continue;
-        }
-        let desc_m = FaceSideDesc::minus(fb);
-        gather_local(part, &fb.minus, fb.n_filled, src, dpc, &mut sm.dofs);
-        evaluate_face(mf, desc_m, true, sm);
-        if cat.is_boundary {
-            for q in 0..nq2 {
-                let u = sm.val[q];
-                let dn = sm.grad[0][q] * g.g_minus[q * 3]
-                    + sm.grad[1][q] * g.g_minus[q * 3 + 1]
-                    + sm.grad[2][q] * g.g_minus[q * 3 + 2];
-                let jxw = g.jxw[q];
-                let vflux = (u * g.sigma * T::from_f64(2.0) - dn) * jxw;
-                let gsc = -(u * jxw);
-                sm.val[q] = vflux;
-                for d in 0..3 {
-                    sm.grad[d][q] = g.g_minus[q * 3 + d] * gsc;
-                }
-            }
-            integrate_face(mf, desc_m, true, sm);
-            scatter_local(part, &fb.minus, fb.n_filled, &sm.dofs, dpc, dst, mine);
-            continue;
-        }
-        let desc_p = FaceSideDesc::plus(fb);
-        gather_local(part, &fb.plus, fb.n_filled, src, dpc, &mut sp.dofs);
-        evaluate_face(mf, desc_p, true, sp);
-        let half = T::from_f64(0.5);
-        for q in 0..nq2 {
-            let um = sm.val[q];
-            let up = sp.val[q];
-            let dnm = sm.grad[0][q] * g.g_minus[q * 3]
-                + sm.grad[1][q] * g.g_minus[q * 3 + 1]
-                + sm.grad[2][q] * g.g_minus[q * 3 + 2];
-            let dnp = sp.grad[0][q] * g.g_plus[q * 3]
-                + sp.grad[1][q] * g.g_plus[q * 3 + 1]
-                + sp.grad[2][q] * g.g_plus[q * 3 + 2];
-            let jxw = g.jxw[q];
-            let jump = um - up;
-            let vflux = (jump * g.sigma - (dnm + dnp) * half) * jxw;
-            let gsc = -(jump * half * jxw);
-            sm.val[q] = vflux;
-            sp.val[q] = -vflux;
-            for d in 0..3 {
-                sm.grad[d][q] = g.g_minus[q * 3 + d] * gsc;
-                sp.grad[d][q] = g.g_plus[q * 3 + d] * gsc;
-            }
-        }
-        integrate_face(mf, desc_m, true, sm);
-        scatter_local(part, &fb.minus, fb.n_filled, &sm.dofs, dpc, dst, mine);
-        integrate_face(mf, desc_p, true, sp);
-        // plus contributions may land in ghost slots — returned below
-        scatter_local(part, &fb.plus, fb.n_filled, &sp.dofs, dpc, dst, mine);
+        let minus = &mf.face_batches[bi as usize].minus;
+        let mine = |l: usize| part.own_cells.contains(&(minus[l] as usize));
+        op.face_kernel(
+            bi as usize,
+            s,
+            |cells, n, v| gather_local(part, cells, n, src, dpc, v),
+            |cells, n, v| scatter_local(part, cells, n, v, dpc, dst, mine),
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::laplace::LaplaceOperator;
     use crate::MfParams;
     use dgflow_comm::{dist_dot, ThreadComm};
     use dgflow_mesh::{CoarseMesh, TrilinearManifold};
@@ -465,7 +377,7 @@ mod tests {
         ));
         let parts = build_partitions(forest, &mf, n_ranks);
         let dpc = mf.dofs_per_cell;
-        let bc = vec![BoundaryCondition::Dirichlet];
+        let op = LaplaceOperator::new(mf.clone());
         let results = ThreadComm::run(n_ranks, |comm| {
             let part = &parts[comm.rank()];
             let plan = OverlapPlan::build(part, &mf);
@@ -476,7 +388,7 @@ mod tests {
                     .copy_from_slice(&x_global[c * dpc..(c + 1) * dpc]);
             }
             let mut dst = Vec::new();
-            apply_distributed(comm, part, &plan, &mf, &bc, &mut src, &mut dst);
+            apply_distributed(comm, part, &plan, &op, &mut src, &mut dst);
             (part.own_cells.clone(), dst[..part.n_owned()].to_vec())
         });
         let mut out = vec![0.0; mf.n_dofs()];
@@ -587,7 +499,6 @@ mod tests {
         // distributed CG, 3 ranks
         let n_ranks = 3;
         let parts = build_partitions(&forest, &mf, n_ranks);
-        let bc = vec![BoundaryCondition::Dirichlet];
         let results = ThreadComm::run(n_ranks, |comm| {
             let part = &parts[comm.rank()];
             let plan = OverlapPlan::build(part, &mf);
@@ -604,7 +515,7 @@ mod tests {
             let mut ap = Vec::new();
             let mut rr = dist_dot(comm, &rvec, &rvec, n_owned);
             for _ in 0..2000 {
-                apply_distributed(comm, part, &plan, &mf, &bc, &mut p, &mut ap);
+                apply_distributed(comm, part, &plan, &op, &mut p, &mut ap);
                 let pap = dist_dot(comm, &p, &ap, n_owned);
                 let alpha = rr / pap;
                 for i in 0..n_owned {

@@ -19,7 +19,8 @@ use dgflow_tensor::sumfac::{
     apply_1d, apply_1d_2d, contract_dir, expand_dir, extract_dir, insert_dir,
 };
 
-/// Scratch buffers for cell kernels (allocate once per worker chunk).
+/// Scratch buffers for cell kernels (the matrix-free loop recycles them
+/// across the batches of a call).
 pub struct CellScratch<T: Real, const L: usize> {
     /// Nodal coefficients (`n^3`).
     pub dofs: Vec<Simd<T, L>>,
@@ -84,8 +85,9 @@ pub fn scatter_add_cell<T: Real, const L: usize>(
     for l in 0..batch.n_filled {
         let base = stride * batch.cells[l] as usize + offset;
         for i in 0..dofs_per_cell {
-            // SAFETY: cells of concurrently processed batches are disjoint
-            // (cell loops) or conflict-colored (face loops)
+            // SAFETY: concurrent callers run inside the matrix-free loop,
+            // which schedules only batches with disjoint cells at once
+            // (`crate::loops`); other callers are serial
             unsafe { *dst.at(base + i) += vals[i][l] };
         }
     }
@@ -134,11 +136,10 @@ pub fn evaluate_gradients<T: Real, const L: usize>(
 ) {
     let nq = mf.n_q();
     for d in 0..3 {
-        // NOTE: the even-odd variant (`apply_1d_eo`, the paper's
-        // Flop-minimizing choice) measures *slower* than the dense sweep on
-        // this crate's lane-array kernels (see the `ablations` bench): the
-        // dense inner loop vectorizes perfectly while the decomposition
-        // adds lane-recombination overhead. We keep the faster dense path.
+        // NOTE: the paper's Flop-minimizing even–odd decomposition measured
+        // 0.5–0.8× the speed of this dense sweep on the lane-array kernels
+        // (the dense inner loop vectorizes perfectly, the decomposition
+        // adds lane recombination), so it was removed; see EXPERIMENTS.md.
         apply_1d(
             &mf.shape.colloc_gradients,
             &s.quad,
@@ -728,7 +729,8 @@ pub fn scatter_add_face_cells<T: Real, const L: usize>(
         }
         let base = stride * cells[l] as usize + offset;
         for i in 0..dofs_per_cell {
-            // SAFETY: face batches are conflict-colored
+            // SAFETY: as in `scatter_add_cell`: the matrix-free loop runs
+            // one face color at a time, whose batches share no cell
             unsafe { *dst.at(base + i) += vals[i][l] };
         }
     }

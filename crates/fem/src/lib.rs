@@ -6,6 +6,7 @@ pub mod cg_space;
 pub mod distributed;
 pub mod evaluator;
 pub mod geometry;
+pub mod loops;
 pub mod matrixfree;
 pub mod operators;
 pub mod util;

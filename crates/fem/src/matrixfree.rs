@@ -4,7 +4,8 @@
 //! Holds the SIMD cell/face batches, the precomputed metric terms of
 //! Eq. (7), the conflict coloring for parallel face loops, and the 1-D
 //! shape data. Operators (Laplacian, mass, convection, …) are free
-//! functions/structs in `operators/` that walk these batches.
+//! functions/structs in `operators/` whose kernels walk these batches
+//! through the loop of [`crate::loops`].
 
 use crate::batch::{batch_faces, color_face_batches, CellBatch, FaceBatch};
 use crate::geometry::{invert3, CellGeometry, FaceGeometry, Mapping};

@@ -2,13 +2,17 @@
 //! the operator of the pressure Poisson equation (2) and the building
 //! block of the viscous step.
 
-use crate::batch::FaceBatch;
 use crate::evaluator::{
     apply_cell_laplace, evaluate_face, evaluate_gradients, evaluate_values, gather_cell,
-    gather_face_cells, integrate, integrate_face, integrate_ref, laplace_cell_coeff,
-    scatter_add_cell, scatter_add_face_cells, CellScratch, FaceScratch, FaceSideDesc,
+    gather_face_cells, integrate_face, integrate_ref, laplace_cell_coeff, scatter_add_cell,
+    scatter_add_face_cells, CellScratch, FaceScratch, FaceSideDesc,
 };
+use crate::loops::LoopSpan;
 use crate::matrixfree::MatrixFree;
+use crate::operators::sipg::{
+    boundary_column, cell_column, contract_two_stage, interior_face_flux, interior_side_column,
+    nitsche_boundary_term, nitsche_lifting,
+};
 use crate::util::SharedMut;
 use dgflow_simd::{Real, Simd};
 use dgflow_solvers::LinearOperator;
@@ -67,137 +71,98 @@ impl<T: Real, const L: usize> LaplaceOperator<T, L> {
             .unwrap_or(BoundaryCondition::Dirichlet)
     }
 
-    fn cell_kernel(&self, bi: usize, src: &[T], dst: &SharedMut<T>, s: &mut CellScratch<T, L>) {
-        let mf = &*self.mf;
-        let b = &mf.cell_batches[bi];
-        let dpc = mf.dofs_per_cell;
-        gather_cell(b, src, dpc, 0, dpc, &mut s.dofs);
-        apply_cell_laplace(mf, &self.coeff[bi], s);
-        scatter_add_cell(b, &s.dofs, dpc, 0, dpc, dst);
+    /// Fused cell kernel of batch `bi` on the nodal values gathered into
+    /// `s.dofs`; leaves the batch's contribution there.
+    pub(crate) fn cell_term(&self, bi: usize, s: &mut CellScratch<T, L>) {
+        apply_cell_laplace(&self.mf, &self.coeff[bi], s);
     }
 
-    /// Reference cell kernel: two-stage Jacobian contraction per point and
-    /// the unfused evaluate/integrate pipeline. Equivalence baseline for
-    /// the fused [`apply_cell_laplace`] path (see `kernel_equiv.rs`).
-    fn cell_kernel_ref(&self, bi: usize, src: &[T], dst: &SharedMut<T>, s: &mut CellScratch<T, L>) {
+    /// Reference cell kernel: the unfused evaluate/integrate pipeline with
+    /// the two-stage Jacobian contraction. Equivalence baseline for the
+    /// fused [`apply_cell_laplace`] path (see `kernel_equiv.rs`).
+    fn cell_term_ref(&self, bi: usize, s: &mut CellScratch<T, L>) {
         let mf = &*self.mf;
-        let b = &mf.cell_batches[bi];
-        let g = &mf.cell_geometry[bi];
-        let dpc = mf.dofs_per_cell;
-        let nq3 = mf.n_q().pow(3);
-        gather_cell(b, src, dpc, 0, dpc, &mut s.dofs);
         evaluate_values(mf, s);
         evaluate_gradients(mf, s);
-        for q in 0..nq3 {
-            let gr = [s.grad[0][q], s.grad[1][q], s.grad[2][q]];
-            let jxw = g.jxw[q];
-            let m = &g.jinvt[q * 9..q * 9 + 9];
-            // physical gradient t_r = Σ_c (J^{-T})_{rc} g_c, scaled by JxW
-            let mut t = [Simd::<T, L>::zero(); 3];
-            for r in 0..3 {
-                t[r] = (gr[0] * m[3 * r] + gr[1] * m[3 * r + 1] + gr[2] * m[3 * r + 2]) * jxw;
-            }
-            // back to reference for the test function: out_c = Σ_r (J^{-T})_{rc} t_r
-            for c in 0..3 {
-                s.grad[c][q] = t[0] * m[c] + t[1] * m[3 + c] + t[2] * m[6 + c];
-            }
-        }
+        contract_two_stage(&mf.cell_geometry[bi], s);
         integrate_ref(mf, s, false, true);
-        scatter_add_cell(b, &s.dofs, dpc, 0, dpc, dst);
+    }
+
+    /// SIPG kernel of face batch `bi`: reads each side's cells through
+    /// `gather`, applies the flux and hands each side's contributions to
+    /// `scatter`, minus side first. Neumann faces carry no term. Both
+    /// closures get a side's lane cells, the batch fill and the values.
+    pub(crate) fn face_kernel(
+        &self,
+        bi: usize,
+        (sm, sp): &mut (FaceScratch<T, L>, FaceScratch<T, L>),
+        gather: impl Fn(&[u32; L], usize, &mut [Simd<T, L>]),
+        mut scatter: impl FnMut(&[u32; L], usize, &[Simd<T, L>]),
+    ) {
+        let mf = &*self.mf;
+        let b = &mf.face_batches[bi];
+        let cat = b.category;
+        if cat.is_boundary {
+            if self.bc_of(cat.boundary_id) == BoundaryCondition::Dirichlet {
+                gather(&b.minus, b.n_filled, &mut sm.dofs);
+                nitsche_boundary_term(mf, bi, sm);
+                scatter(&b.minus, b.n_filled, &sm.dofs);
+            }
+            return;
+        }
+        let (desc_m, desc_p) = (FaceSideDesc::minus(b), FaceSideDesc::plus(b));
+        gather(&b.minus, b.n_filled, &mut sm.dofs);
+        gather(&b.plus, b.n_filled, &mut sp.dofs);
+        evaluate_face(mf, desc_m, true, sm);
+        evaluate_face(mf, desc_p, true, sp);
+        interior_face_flux(&mf.face_geometry[bi], sm, sp);
+        integrate_face(mf, desc_m, true, sm);
+        scatter(&b.minus, b.n_filled, &sm.dofs);
+        integrate_face(mf, desc_p, true, sp);
+        scatter(&b.plus, b.n_filled, &sp.dofs);
+    }
+
+    /// Run the loop with the cell kernel `cell` and the SIPG face kernel.
+    fn run(
+        &self,
+        span: LoopSpan,
+        src: &[T],
+        dst: &mut [T],
+        cell: impl Fn(usize, &mut CellScratch<T, L>) + Sync,
+    ) {
+        let mf = &*self.mf;
+        let dpc = mf.dofs_per_cell;
+        mf.loop_over(
+            span,
+            dst,
+            (
+                || CellScratch::new(mf),
+                |bi, s, out| {
+                    let b = &mf.cell_batches[bi];
+                    gather_cell(b, src, dpc, 0, dpc, &mut s.dofs);
+                    cell(bi, s);
+                    scatter_add_cell(b, &s.dofs, dpc, 0, dpc, out);
+                },
+            ),
+            (
+                || (FaceScratch::new(mf), FaceScratch::new(mf)),
+                |bi, s, out| {
+                    self.face_kernel(
+                        bi,
+                        s,
+                        |cells, n, v| gather_face_cells(cells, n, src, dpc, 0, dpc, v),
+                        |cells, n, v| scatter_add_face_cells(cells, n, v, dpc, 0, dpc, out),
+                    );
+                },
+            ),
+        );
     }
 
     /// Apply the operator through the reference kernels (unfused cell
     /// pipeline, two-stage Jacobian contraction). Exists so the
     /// kernel-equivalence suite can pin the fused default path against it.
     pub fn apply_reference(&self, src: &[T], dst: &mut [T]) {
-        let mf = &*self.mf;
-        dst.iter_mut().for_each(|v| *v = T::ZERO);
-        let out = SharedMut::new(dst);
-        let n_cb = mf.cell_batches.len();
-        dgflow_comm::parallel_for_chunks(n_cb, 1, |range| {
-            let mut s = CellScratch::<T, L>::new(mf);
-            for bi in range {
-                self.cell_kernel_ref(bi, src, &out, &mut s);
-            }
-        });
-        for color in &mf.face_colors {
-            dgflow_comm::parallel_for_chunks(color.len(), 1, |range| {
-                let mut sm = FaceScratch::<T, L>::new(mf);
-                let mut sp = FaceScratch::<T, L>::new(mf);
-                for k in range {
-                    self.face_kernel(color[k], src, &out, &mut sm, &mut sp);
-                }
-            });
-        }
-    }
-
-    fn face_kernel(
-        &self,
-        bi: usize,
-        src: &[T],
-        dst: &SharedMut<T>,
-        sm: &mut FaceScratch<T, L>,
-        sp: &mut FaceScratch<T, L>,
-    ) {
-        let mf = &*self.mf;
-        let b: &FaceBatch<L> = &mf.face_batches[bi];
-        let g = &mf.face_geometry[bi];
-        let dpc = mf.dofs_per_cell;
-        let nq2 = mf.n_q() * mf.n_q();
-        let cat = b.category;
-        if cat.is_boundary && self.bc_of(cat.boundary_id) == BoundaryCondition::Neumann {
-            return;
-        }
-        let desc_m = FaceSideDesc::minus(b);
-        gather_face_cells(&b.minus, b.n_filled, src, dpc, 0, dpc, &mut sm.dofs);
-        evaluate_face(mf, desc_m, true, sm);
-        if cat.is_boundary {
-            for q in 0..nq2 {
-                let u = sm.val[q];
-                let dn = sm.grad[0][q] * g.g_minus[q * 3]
-                    + sm.grad[1][q] * g.g_minus[q * 3 + 1]
-                    + sm.grad[2][q] * g.g_minus[q * 3 + 2];
-                let jxw = g.jxw[q];
-                // mirror ghost: u+ = -u-, ∂n u+ = ∂n u-
-                let vflux = (u * g.sigma * T::from_f64(2.0) - dn) * jxw;
-                let gsc = -(u * jxw);
-                sm.val[q] = vflux;
-                for d in 0..3 {
-                    sm.grad[d][q] = g.g_minus[q * 3 + d] * gsc;
-                }
-            }
-            integrate_face(mf, desc_m, true, sm);
-            scatter_add_face_cells(&b.minus, b.n_filled, &sm.dofs, dpc, 0, dpc, dst);
-            return;
-        }
-        let desc_p = FaceSideDesc::plus(b);
-        gather_face_cells(&b.plus, b.n_filled, src, dpc, 0, dpc, &mut sp.dofs);
-        evaluate_face(mf, desc_p, true, sp);
-        let half = T::from_f64(0.5);
-        for q in 0..nq2 {
-            let um = sm.val[q];
-            let up = sp.val[q];
-            let dnm = sm.grad[0][q] * g.g_minus[q * 3]
-                + sm.grad[1][q] * g.g_minus[q * 3 + 1]
-                + sm.grad[2][q] * g.g_minus[q * 3 + 2];
-            let dnp = sp.grad[0][q] * g.g_plus[q * 3]
-                + sp.grad[1][q] * g.g_plus[q * 3 + 1]
-                + sp.grad[2][q] * g.g_plus[q * 3 + 2];
-            let jxw = g.jxw[q];
-            let jump = um - up;
-            let vflux = (jump * g.sigma - (dnm + dnp) * half) * jxw;
-            let gsc = -(jump * half * jxw);
-            sm.val[q] = vflux;
-            sp.val[q] = -vflux;
-            for d in 0..3 {
-                sm.grad[d][q] = g.g_minus[q * 3 + d] * gsc;
-                sp.grad[d][q] = g.g_plus[q * 3 + d] * gsc;
-            }
-        }
-        integrate_face(mf, desc_m, true, sm);
-        scatter_add_face_cells(&b.minus, b.n_filled, &sm.dofs, dpc, 0, dpc, dst);
-        integrate_face(mf, desc_p, true, sp);
-        scatter_add_face_cells(&b.plus, b.n_filled, &sp.dofs, dpc, 0, dpc, dst);
+        self.run(None, src, dst, |bi, s| self.cell_term_ref(bi, s));
     }
 
     /// Assemble the right-hand side contribution of inhomogeneous Dirichlet
@@ -213,34 +178,14 @@ impl<T: Real, const L: usize> LaplaceOperator<T, L> {
         let mut rhs = vec![T::ZERO; mf.n_dofs()];
         let dst = SharedMut::new(&mut rhs);
         let dpc = mf.dofs_per_cell;
-        let nq2 = mf.n_q() * mf.n_q();
-        // boundary batches are disjoint in their minus cells only across
-        // colors; run serially (assembly happens once)
+        // serial: assembly happens once
         let mut sm = FaceScratch::<T, L>::new(mf);
         for (bi, b) in mf.face_batches.iter().enumerate() {
             let cat = b.category;
             if !cat.is_boundary || self.bc_of(cat.boundary_id) != BoundaryCondition::Dirichlet {
                 continue;
             }
-            let g = &mf.face_geometry[bi];
-            for q in 0..nq2 {
-                let mut gv = Simd::<T, L>::zero();
-                for l in 0..b.n_filled {
-                    let x = [
-                        g.positions[q * 3][l].to_f64(),
-                        g.positions[q * 3 + 1][l].to_f64(),
-                        g.positions[q * 3 + 2][l].to_f64(),
-                    ];
-                    gv[l] = T::from_f64(gfun(cat.boundary_id, x));
-                }
-                let jxw = g.jxw[q];
-                // F_Γ(v) = ∫ 2σ g v − g ∂n v  (symmetric Nitsche lifting)
-                sm.val[q] = gv * g.sigma * T::from_f64(2.0) * jxw;
-                for d in 0..3 {
-                    sm.grad[d][q] = -(g.g_minus[q * 3 + d] * gv * jxw);
-                }
-            }
-            integrate_face(mf, FaceSideDesc::minus(b), true, &mut sm);
+            nitsche_lifting(mf, bi, |x| gfun(cat.boundary_id, x), &mut sm);
             scatter_add_face_cells(&b.minus, b.n_filled, &sm.dofs, dpc, 0, dpc, &dst);
         }
         rhs
@@ -253,118 +198,50 @@ impl<T: Real, const L: usize> LaplaceOperator<T, L> {
         let mf = &*self.mf;
         let dpc = mf.dofs_per_cell;
         let mut diag = vec![T::ZERO; mf.n_dofs()];
-        let dst = SharedMut::new(&mut diag);
-        let n_batches = mf.cell_batches.len();
-        // cell contributions
-        dgflow_comm::parallel_for_chunks(n_batches, 1, |range| {
-            let mut s = CellScratch::<T, L>::new(mf);
-            let nq3 = mf.n_q().pow(3);
-            for bi in range {
-                let b = &mf.cell_batches[bi];
-                let g = &mf.cell_geometry[bi];
-                for i in 0..dpc {
-                    for v in s.dofs.iter_mut() {
-                        *v = Simd::zero();
-                    }
-                    s.dofs[i] = Simd::splat(T::ONE);
-                    evaluate_values(mf, &mut s);
-                    evaluate_gradients(mf, &mut s);
-                    for q in 0..nq3 {
-                        let gr = [s.grad[0][q], s.grad[1][q], s.grad[2][q]];
-                        let jxw = g.jxw[q];
-                        let m = &g.jinvt[q * 9..q * 9 + 9];
-                        let mut t = [Simd::<T, L>::zero(); 3];
-                        for r in 0..3 {
-                            t[r] = (gr[0] * m[3 * r] + gr[1] * m[3 * r + 1] + gr[2] * m[3 * r + 2])
-                                * jxw;
-                        }
-                        for c in 0..3 {
-                            s.grad[c][q] = t[0] * m[c] + t[1] * m[3 + c] + t[2] * m[6 + c];
-                        }
-                    }
-                    integrate(mf, &mut s, false, true);
-                    for l in 0..b.n_filled {
-                        // SAFETY: disjoint cells per chunk
-                        unsafe {
-                            *dst.at(dpc * b.cells[l] as usize + i) += s.dofs[i][l];
-                        }
-                    }
+        // adds column i's own entry of every filled lane's cell
+        let add = |cells: &[u32; L], n: usize, i: usize, v: &Simd<T, L>, out: &SharedMut<T>| {
+            for l in 0..n {
+                if cells[l] != u32::MAX {
+                    // SAFETY: the loop runs concurrently only batches whose
+                    // cells are disjoint (see `crate::loops`)
+                    unsafe { *out.at(dpc * cells[l] as usize + i) += v[l] };
                 }
             }
-        });
-        // face contributions (own-side blocks only; the coupling blocks do
-        // not touch the diagonal); colored like apply() so concurrent
-        // batches never share a cell
-        let nq2 = mf.n_q() * mf.n_q();
-        for color in &mf.face_colors {
-            dgflow_comm::parallel_for_chunks(color.len(), 1, |range| {
-                let mut s = FaceScratch::<T, L>::new(mf);
-                for k in range {
-                    let bi = color[k];
+        };
+        mf.loop_over(
+            None,
+            &mut diag,
+            (
+                || CellScratch::new(mf),
+                |bi, s, out| {
+                    let b = &mf.cell_batches[bi];
+                    for i in 0..dpc {
+                        cell_column(mf, bi, i, s);
+                        add(&b.cells, b.n_filled, i, &s.dofs[i], out);
+                    }
+                },
+            ),
+            // own-side face blocks only: the coupling blocks do not touch
+            // the diagonal
+            (
+                || FaceScratch::new(mf),
+                |bi, s, out| {
                     let b = &mf.face_batches[bi];
                     let cat = b.category;
-                    if cat.is_boundary && self.bc_of(cat.boundary_id) == BoundaryCondition::Neumann
-                    {
-                        continue;
-                    }
-                    let g = &mf.face_geometry[bi];
-                    let half = T::from_f64(0.5);
-                    for (side_idx, (cells, desc)) in [
-                        (&b.minus, FaceSideDesc::minus(b)),
-                        (&b.plus, FaceSideDesc::plus(b)),
-                    ]
-                    .into_iter()
-                    .enumerate()
-                    {
-                        if cat.is_boundary && side_idx == 1 {
-                            break;
-                        }
-                        let gvec = if side_idx == 0 { &g.g_minus } else { &g.g_plus };
-                        // jump sign: [[u]] = u- - u+
-                        let jsign = if side_idx == 0 { T::ONE } else { -T::ONE };
-                        for i in 0..dpc {
-                            for v in s.dofs.iter_mut() {
-                                *v = Simd::zero();
+                    for i in 0..dpc {
+                        if !cat.is_boundary {
+                            for (plus, cells) in [(false, &b.minus), (true, &b.plus)] {
+                                interior_side_column(mf, bi, plus, i, s);
+                                add(cells, b.n_filled, i, &s.dofs[i], out);
                             }
-                            s.dofs[i] = Simd::splat(T::ONE);
-                            evaluate_face(mf, desc, true, &mut s);
-                            for q in 0..nq2 {
-                                let u = s.val[q];
-                                let dn = s.grad[0][q] * gvec[q * 3]
-                                    + s.grad[1][q] * gvec[q * 3 + 1]
-                                    + s.grad[2][q] * gvec[q * 3 + 2];
-                                let jxw = g.jxw[q];
-                                let (vflux, gsc) = if cat.is_boundary {
-                                    ((u * g.sigma * T::from_f64(2.0) - dn) * jxw, -(u * jxw))
-                                } else {
-                                    // own-side only: other side's trace is 0
-                                    let jump = u * jsign;
-                                    let vflux = (jump * g.sigma - dn * half) * jxw * jsign;
-                                    let gsc = -(jump * half * jxw);
-                                    (vflux, gsc)
-                                };
-                                s.val[q] = vflux;
-                                for d in 0..3 {
-                                    s.grad[d][q] = gvec[q * 3 + d] * gsc;
-                                }
-                            }
-                            integrate_face(mf, desc, true, &mut s);
-                            for l in 0..b.n_filled {
-                                if cells[l] == u32::MAX {
-                                    continue;
-                                }
-                                let idx = dpc * cells[l] as usize + i;
-                                let v = s.dofs[i][l];
-                                // SAFETY: batches within a color share no cells
-                                unsafe {
-                                    *dst.at(idx) += v;
-                                }
-                            }
+                        } else if self.bc_of(cat.boundary_id) == BoundaryCondition::Dirichlet {
+                            boundary_column(mf, bi, i, s);
+                            add(&b.minus, b.n_filled, i, &s.dofs[i], out);
                         }
                     }
-                }
-            });
-        }
+                },
+            ),
+        );
         diag
     }
 }
@@ -375,26 +252,8 @@ impl<T: Real, const L: usize> LinearOperator<T> for LaplaceOperator<T, L> {
     }
 
     fn apply(&self, src: &[T], dst: &mut [T]) {
-        let _sp = dgflow_trace::span("fem", "laplace.apply").work(self.flops_per_apply);
-        let mf = &*self.mf;
-        dst.iter_mut().for_each(|v| *v = T::ZERO);
-        let out = SharedMut::new(dst);
-        let n_cb = mf.cell_batches.len();
-        dgflow_comm::parallel_for_chunks(n_cb, 1, |range| {
-            let mut s = CellScratch::<T, L>::new(mf);
-            for bi in range {
-                self.cell_kernel(bi, src, &out, &mut s);
-            }
-        });
-        for color in &mf.face_colors {
-            dgflow_comm::parallel_for_chunks(color.len(), 1, |range| {
-                let mut sm = FaceScratch::<T, L>::new(mf);
-                let mut sp = FaceScratch::<T, L>::new(mf);
-                for k in range {
-                    self.face_kernel(color[k], src, &out, &mut sm, &mut sp);
-                }
-            });
-        }
+        let span = Some(("laplace.apply", self.flops_per_apply));
+        self.run(span, src, dst, |bi, s| self.cell_term(bi, s));
     }
 
     fn diagonal(&self) -> Vec<T> {

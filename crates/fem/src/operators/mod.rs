@@ -3,6 +3,7 @@
 pub mod functions;
 pub mod laplace;
 pub mod mass;
+pub(crate) mod sipg;
 
 pub use functions::{integrate_rhs, interpolate, interpolate_nodal, l2_error, l2_norm};
 pub use laplace::{BoundaryCondition, LaplaceOperator};

@@ -10,20 +10,17 @@
 //!   evaluation, plus the interpolation/differentiation matrices that define
 //!   the operators `I_e`, `I_f` ([`lagrange`], [`shape`]);
 //! * sum-factorization kernels that apply a 1-D matrix along one direction of
-//!   a 3-D tensor of SIMD cell batches, including the even–odd (Flop-halving)
-//!   decomposition of Kronbichler & Kormann ([`sumfac`], [`even_odd`]).
+//!   a 3-D tensor of SIMD cell batches ([`sumfac`]).
 //!
 //! The reference cell is the unit cube `[0,1]^3` with lexicographic index
 //! ordering, `x` fastest.
 
-pub mod even_odd;
 pub mod lagrange;
 pub mod matrix;
 pub mod quadrature;
 pub mod shape;
 pub mod sumfac;
 
-pub use even_odd::EvenOddMatrix;
 pub use lagrange::LagrangeBasis1D;
 pub use matrix::DMatrix;
 pub use quadrature::{gauss_lobatto_rule, gauss_rule, QuadratureRule};

@@ -1,9 +1,8 @@
 //! Precomputed 1-D shape data shared by all sum-factorization kernels: the
 //! interpolation / differentiation matrices (`I_e`, `I_f` of Eq. (7)), their
-//! transposes, even–odd compressed forms, boundary traces, and half-interval
+//! transposes, boundary traces, and half-interval
 //! embeddings for hanging nodes and h-multigrid.
 
-use crate::even_odd::{EvenOddMatrix, Symmetry};
 use crate::lagrange::LagrangeBasis1D;
 use crate::matrix::DMatrix;
 use crate::quadrature::{gauss_lobatto_rule, gauss_rule, QuadratureRule};
@@ -60,14 +59,6 @@ pub struct ShapeInfo1D<T> {
     pub gradients: DMatrix<T>,
     /// Transpose of `gradients`.
     pub gradients_t: DMatrix<T>,
-    /// Even–odd compressed `values`.
-    pub values_eo: EvenOddMatrix<T>,
-    /// Even–odd compressed `values_t`.
-    pub values_t_eo: EvenOddMatrix<T>,
-    /// Even–odd compressed `gradients`.
-    pub gradients_eo: EvenOddMatrix<T>,
-    /// Even–odd compressed `gradients_t`.
-    pub gradients_t_eo: EvenOddMatrix<T>,
     /// Collocation derivative at the quadrature points:
     /// `colloc_grad[q][p] = L_p'(x_q)` for the Lagrange basis on the
     /// quadrature points themselves. Lets cell kernels interpolate once to
@@ -76,10 +67,6 @@ pub struct ShapeInfo1D<T> {
     pub colloc_gradients: DMatrix<T>,
     /// Transpose of `colloc_gradients`.
     pub colloc_gradients_t: DMatrix<T>,
-    /// Even–odd compressed `colloc_gradients` (the hot cell-kernel path).
-    pub colloc_gradients_eo: EvenOddMatrix<T>,
-    /// Even–odd compressed `colloc_gradients_t`.
-    pub colloc_gradients_t_eo: EvenOddMatrix<T>,
     /// Basis values at the interval ends: `face_values[s][i] = l_i(s)`.
     pub face_values: [Vec<T>; 2],
     /// When `face_values[s]` is exactly a standard basis vector (a nodal
@@ -174,16 +161,7 @@ impl<T: Real> ShapeInfo1D<T> {
             quad_weights: quad.weights_as::<T>(),
             values_t: values.transpose(),
             gradients_t: gradients.transpose(),
-            values_eo: EvenOddMatrix::compress(&values, Symmetry::Even),
-            values_t_eo: EvenOddMatrix::compress(&values.transpose(), Symmetry::Even),
-            gradients_eo: EvenOddMatrix::compress(&gradients, Symmetry::Odd),
-            gradients_t_eo: EvenOddMatrix::compress(&gradients.transpose(), Symmetry::Odd),
             colloc_gradients_t: colloc_gradients.transpose(),
-            colloc_gradients_eo: EvenOddMatrix::compress(&colloc_gradients, Symmetry::Odd),
-            colloc_gradients_t_eo: EvenOddMatrix::compress(
-                &colloc_gradients.transpose(),
-                Symmetry::Odd,
-            ),
             colloc_gradients,
             values,
             gradients,

@@ -21,7 +21,7 @@
 use dgflow_comm::{dist_dot, Communicator};
 use dgflow_fem::distributed::{apply_distributed, build_partitions, OverlapPlan, Partition};
 use dgflow_fem::operators::integrate_rhs;
-use dgflow_fem::operators::laplace::{BoundaryCondition, LaplaceOperator};
+use dgflow_fem::operators::laplace::LaplaceOperator;
 use dgflow_fem::{MatrixFree, MfParams};
 use dgflow_lung::{bifurcation_tree, mesh_airway_tree, MeshParams};
 use dgflow_mesh::{Forest, TrilinearManifold};
@@ -38,7 +38,8 @@ pub const LANES: usize = 4;
 pub struct PoissonCase {
     pub forest: Forest,
     pub mf: Arc<MatrixFree<f64, LANES>>,
-    pub bc: Vec<BoundaryCondition>,
+    /// The SIPG Laplacian (all-Dirichlet) whose kernels every rank runs.
+    pub op: LaplaceOperator<f64, LANES>,
     /// Global RHS (owned rows are scattered per rank).
     pub rhs: Vec<f64>,
     /// Global Jacobi diagonal.
@@ -62,11 +63,10 @@ impl PoissonCase {
         // a smooth manufactured load over the bifurcation's bounding box
         let rhs = integrate_rhs(&mf, &|x| (3.0 * x[0]).sin() + x[1] * x[2]);
         let diag = op.compute_diagonal();
-        let bc = vec![BoundaryCondition::Dirichlet];
         Self {
             forest,
             mf,
-            bc,
+            op,
             rhs,
             diag,
         }
@@ -139,7 +139,7 @@ pub fn run_poisson(
     let mut n_matvecs = 0usize;
     let mut apply = |src: &mut Vec<f64>, dst: &mut Vec<f64>| {
         let t = Instant::now();
-        apply_distributed(comm, part, &plan, &case.mf, &case.bc, src, dst);
+        apply_distributed(comm, part, &plan, &case.op, src, dst);
         matvec_s += t.elapsed().as_secs_f64();
         n_matvecs += 1;
     };

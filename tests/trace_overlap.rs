@@ -33,7 +33,7 @@ fn overlap_spans_reconcile_with_exchange_wall_time() {
             src[slot * dpc..(slot + 1) * dpc].copy_from_slice(&case.rhs[c * dpc..(c + 1) * dpc]);
         }
         let mut dst = Vec::new();
-        apply_distributed(comm, part, &plan, &case.mf, &case.bc, &mut src, &mut dst);
+        apply_distributed(comm, part, &plan, &case.op, &mut src, &mut dst);
     });
 
     let spans = take_spans();

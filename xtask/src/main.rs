@@ -672,6 +672,8 @@ fn ci() -> bool {
                 "dgflow-comm",
                 "-p",
                 "dgflow-multigrid",
+                "-p",
+                "dgflow-core",
                 "--features",
                 "dgflow-fem/check-disjoint,dgflow-comm/check-disjoint,\
                  dgflow-multigrid/check-disjoint",
