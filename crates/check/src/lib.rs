@@ -5,7 +5,7 @@
 //! # The seam
 //!
 //! Concurrency kernels import their synchronization types from here
-//! instead of from `parking_lot`/`crossbeam`/`std` directly:
+//! instead of from `std` directly:
 //!
 //! ```ignore
 //! use dgflow_check::sync::{Condvar, Mutex};
@@ -14,11 +14,15 @@
 //! use dgflow_check::thread;
 //! ```
 //!
-//! In a normal build these modules are zero-cost re-exports of the real
-//! primitives — the seam compiles away. Under `--cfg dgcheck_model`
-//! (what `cargo xtask model` sets) they resolve to the model primitives
-//! in [`model`], whose every operation is a scheduler switch point, and
-//! the kernels become model-checkable without source changes.
+//! In a normal build these modules re-export `std`: `channel` is
+//! `std::sync::mpsc`, `thread` and the barrier and atomics are
+//! `std::thread`/`std::sync`, and `Mutex`/`Condvar` are a thin
+//! non-poisoning facade over `std::sync` (`lock()` returns the guard,
+//! `Condvar::wait` takes `&mut guard`) so both builds share one
+//! signature. Under `--cfg dgcheck_model` (what `cargo xtask model`
+//! sets) they resolve to the model primitives in [`model`], whose every
+//! operation is a scheduler switch point, and the kernels become
+//! model-checkable without source changes.
 //!
 //! # Writing a model test
 //!
@@ -44,13 +48,15 @@
 //! through the seam only make sense under `--cfg dgcheck_model` and are
 //! gated accordingly.
 
+#[cfg(not(dgcheck_model))]
+mod facade;
 pub mod model;
 
 /// Mutexes, condvars, barriers, and atomics (pass-through in normal
 /// builds, model primitives under `--cfg dgcheck_model`).
 #[cfg(not(dgcheck_model))]
 pub mod sync {
-    pub use parking_lot::{Condvar, Mutex, MutexGuard};
+    pub use crate::facade::{Condvar, Mutex, MutexGuard};
     pub use std::sync::{Barrier, BarrierWaitResult};
 
     /// Atomic types with explicit orderings.
@@ -71,18 +77,18 @@ pub mod sync {
     }
 }
 
-/// Unbounded MPMC channel (crossbeam-stub pass-through in normal builds,
-/// model channel under `--cfg dgcheck_model`).
+/// Unbounded FIFO channel (`std::sync::mpsc` in normal builds, model
+/// channel under `--cfg dgcheck_model`).
 #[cfg(not(dgcheck_model))]
 pub mod channel {
-    pub use crossbeam::channel::{unbounded, Receiver, RecvError, SendError, Sender};
+    pub use std::sync::mpsc::{channel, Receiver, Sender};
 }
 
-/// Unbounded MPMC channel (crossbeam-stub pass-through in normal builds,
-/// model channel under `--cfg dgcheck_model`).
+/// Unbounded FIFO channel (`std::sync::mpsc` in normal builds, model
+/// channel under `--cfg dgcheck_model`).
 #[cfg(dgcheck_model)]
 pub mod channel {
-    pub use crate::model::channel::{unbounded, Receiver, RecvError, SendError, Sender};
+    pub use crate::model::channel::{channel, Receiver, Sender};
 }
 
 /// Thread spawn/join/yield (std pass-through in normal builds, model

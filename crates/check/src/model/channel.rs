@@ -1,48 +1,42 @@
-//! Model unbounded channel, API-compatible with the `crossbeam` stub's
-//! `channel` module (`unbounded`, `Result`-returning `send`/`recv`,
-//! cloneable `Sender`/`Receiver`). Sends never block; receives park on
-//! the scheduler until a message or full disconnection arrives.
+//! Model channel mirroring the `std::sync::mpsc` names and signatures the
+//! seam's callers use (`channel`, `Result`-returning `send`/`recv`/
+//! `try_recv`, cloneable `Sender`, a single `Receiver`). Sends never
+//! block; receives park on the scheduler until a message or full
+//! disconnection arrives.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex as StdMutex, PoisonError};
 
 use super::{current, in_execution};
 
-/// Error returned by [`Sender::send`] when all receivers are gone.
+/// Error returned by [`Sender::send`] when the receiver is gone.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct SendError<T>(pub T);
 
 impl<T> std::fmt::Debug for SendError<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SendError(..)")
+        f.write_str("SendError { .. }")
     }
 }
-
-impl<T> std::fmt::Display for SendError<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("sending on a disconnected channel")
-    }
-}
-
-impl<T> std::error::Error for SendError<T> {}
 
 /// Error returned by [`Receiver::recv`] when the channel is empty and all
 /// senders are gone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecvError;
 
-impl std::fmt::Display for RecvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("receiving on an empty and disconnected channel")
-    }
+/// Error returned by [`Receiver::try_recv`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TryRecvError {
+    /// No message is ready, but senders remain.
+    Empty,
+    /// The channel is empty and all senders are gone.
+    Disconnected,
 }
-
-impl std::error::Error for RecvError {}
 
 struct Inner<T> {
     queue: VecDeque<T>,
     senders: usize,
-    receivers: usize,
+    receiver_alive: bool,
     /// Model threads parked in `recv`.
     recv_waiters: Vec<usize>,
 }
@@ -68,12 +62,12 @@ pub struct Receiver<T> {
 }
 
 /// Create an unbounded FIFO model channel.
-pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
+pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
         inner: StdMutex::new(Inner {
             queue: VecDeque::new(),
             senders: 1,
-            receivers: 1,
+            receiver_alive: true,
             recv_waiters: Vec::new(),
         }),
     });
@@ -115,18 +109,9 @@ impl<T> Drop for Sender<T> {
     }
 }
 
-impl<T> Clone for Receiver<T> {
-    fn clone(&self) -> Self {
-        self.shared.lock().receivers += 1;
-        Self {
-            shared: self.shared.clone(),
-        }
-    }
-}
-
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        self.shared.lock().receivers -= 1;
+        self.shared.lock().receiver_alive = false;
     }
 }
 
@@ -139,7 +124,7 @@ impl<T> Sender<T> {
         }
         let woken = {
             let mut inner = self.shared.lock();
-            if inner.receivers == 0 {
+            if !inner.receiver_alive {
                 return Err(SendError(value));
             }
             inner.queue.push_back(value);
@@ -182,12 +167,17 @@ impl<T> Receiver<T> {
         }
     }
 
-    /// Non-blocking receive; `None` when no message is ready.
-    pub fn try_recv(&self) -> Option<T> {
+    /// Non-blocking receive (a switch point).
+    pub fn try_recv(&self) -> Result<T, TryRecvError> {
         let (ctl, me) = current();
         if !ctl.teardown_unwind() {
             ctl.switch(me, "channel::try_recv");
         }
-        self.shared.lock().queue.pop_front()
+        let mut inner = self.shared.lock();
+        match inner.queue.pop_front() {
+            Some(v) => Ok(v),
+            None if inner.senders == 0 => Err(TryRecvError::Disconnected),
+            None => Err(TryRecvError::Empty),
+        }
     }
 }

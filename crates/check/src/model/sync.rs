@@ -1,6 +1,6 @@
 //! Model `Mutex`, `Condvar`, and `Barrier` — API-compatible with the
-//! `parking_lot` stub (`lock()` returns a guard, `Condvar::wait` takes
-//! `&mut guard`) and `std::sync::Barrier`, but with every acquire,
+//! seam's normal-build facade (`lock()` returns a guard, `Condvar::wait`
+//! takes `&mut guard`) and `std::sync::Barrier`, but with every acquire,
 //! release, wait, and notify routed through the [`Controller`] so the
 //! scheduler sees (and can reorder around) each of them.
 //!

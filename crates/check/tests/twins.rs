@@ -222,7 +222,7 @@ fn split_atomic_pair_twin_is_caught() {
 #[test]
 fn channel_delivers_every_message_exactly_once() {
     let report = checker().check(|| {
-        let (tx, rx) = channel::unbounded::<u32>();
+        let (tx, rx) = channel::channel::<u32>();
         let tx2 = tx.clone();
         let h1 = thread::spawn(move || tx.send(1).unwrap());
         let h2 = thread::spawn(move || tx2.send(2).unwrap());
@@ -238,7 +238,7 @@ fn channel_delivers_every_message_exactly_once() {
 #[test]
 fn channel_disconnect_unparks_receiver() {
     let report = checker().check(|| {
-        let (tx, rx) = channel::unbounded::<u32>();
+        let (tx, rx) = channel::channel::<u32>();
         let h = thread::spawn(move || drop(tx));
         assert!(rx.recv().is_err());
         h.join().unwrap();

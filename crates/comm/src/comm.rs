@@ -4,11 +4,11 @@
 //! point-to-point sends of floating-point buffers (ghost exchange) and the
 //! global reductions of the Krylov solvers. [`SelfComm`] is the trivial
 //! single-rank implementation; [`ThreadComm`] runs an SPMD program on `n`
-//! in-process ranks backed by crossbeam channels, preserving the semantics
-//! (per-pair ordering, tag matching, collective synchronization) that the
-//! paper's pure-MPI parallelization relies on.
+//! in-process ranks backed by `std::sync::mpsc` channels, preserving the
+//! semantics (per-pair ordering, tag matching, collective synchronization)
+//! that the paper's pure-MPI parallelization relies on.
 
-use dgflow_check::channel::{unbounded, Receiver, Sender};
+use dgflow_check::channel::{channel, Receiver, Sender};
 use dgflow_check::sync::{Barrier, Mutex};
 use std::sync::Arc;
 
@@ -104,8 +104,9 @@ pub struct ThreadComm {
     size: usize,
     /// senders[d]: channel to rank d
     senders: Vec<Sender<Msg>>,
-    /// receivers[s]: channel from rank s
-    receivers: Vec<Receiver<Msg>>,
+    /// receivers[s]: channel from rank s (locked, since `std::sync::mpsc`
+    /// receivers are not `Sync`; only this rank ever takes the lock)
+    receivers: Vec<Mutex<Receiver<Msg>>>,
     shared: Arc<Shared>,
 }
 
@@ -122,7 +123,7 @@ impl ThreadComm {
         for s in 0..size {
             let mut row = Vec::with_capacity(size);
             for d in 0..size {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 row.push(tx);
                 rxs[d][s] = Some(rx);
             }
@@ -140,7 +141,7 @@ impl ThreadComm {
                 senders: row,
                 receivers: rxs[rank]
                     .iter_mut()
-                    .map(|r| r.take().expect("receiver set"))
+                    .map(|r| Mutex::new(r.take().expect("receiver set")))
                     .collect(),
                 shared: shared.clone(),
             });
@@ -174,15 +175,14 @@ impl Communicator for ThreadComm {
             .expect("destination rank dropped its communicator");
     }
     fn recv_f64(&self, src: usize, tag: u64) -> Vec<f64> {
-        let (t, data) = self.receivers[src]
-            .recv()
-            .expect("source rank dropped its communicator");
+        let rx = self.receivers[src].lock();
+        let (t, data) = rx.recv().expect("source rank dropped its communicator");
         if t != tag {
             // drain-count the rest of the queue: we are panicking anyway,
             // and the depth tells apart "sender ran ahead" (deep queue)
             // from "schedules diverged" (shallow)
             let mut depth = 0usize;
-            while self.receivers[src].try_recv().is_some() {
+            while rx.try_recv().is_ok() {
                 depth += 1;
             }
             panic!(

@@ -3,13 +3,14 @@
 //! Two layers, mirroring the paper's parallelization (Sec. 3.2):
 //!
 //! * [`comm`] — a [`Communicator`] trait with in-process SPMD ranks
-//!   ([`ThreadComm`]) over crossbeam channels: point-to-point buffers with
-//!   tag checking, reductions, barriers. [`proc`] adds genuine OS-process
-//!   ranks over Unix-domain sockets ([`ProcessComm`]), launched as an SPMD
-//!   group by [`spmd`]; [`nb`] holds the nonblocking-exchange substrate
-//!   (ordered inboxes, epoch state machine) shared by both. [`dist`]
-//!   builds partitioned vectors with nearest-neighbor ghost exchange —
-//!   blocking or split start/finish for compute/comm overlap — on top.
+//!   ([`ThreadComm`]) over `std::sync::mpsc` channels: point-to-point
+//!   buffers with tag checking, reductions, barriers. [`proc`] adds
+//!   genuine OS-process ranks over Unix-domain sockets ([`ProcessComm`]),
+//!   launched as an SPMD group by [`spmd`]; [`nb`] holds the
+//!   nonblocking-exchange substrate (ordered inboxes, epoch state
+//!   machine) shared by both. [`dist`] builds partitioned vectors with
+//!   nearest-neighbor ghost exchange — blocking or split start/finish for
+//!   compute/comm overlap — on top.
 //! * [`par`] — a persistent-thread `parallel_for` used by the matrix-free
 //!   cell/face loops within one address space.
 //!

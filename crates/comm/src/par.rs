@@ -71,7 +71,7 @@ impl ThreadPool {
     pub fn new(n_workers: usize) -> Self {
         let mut senders = Vec::with_capacity(n_workers);
         for w in 0..n_workers {
-            let (tx, rx) = channel::unbounded::<Job>();
+            let (tx, rx) = channel::channel::<Job>();
             senders.push(tx);
             thread::spawn(move || {
                 #[cfg(not(dgcheck_model))]

@@ -14,7 +14,6 @@ use dgflow_multigrid::{HybridMultigrid, MgParams, MixedPrecisionMg};
 use dgflow_solvers::{cg_solve, JacobiPreconditioner, Preconditioner};
 use dgflow_tensor::{NodeSet, ShapeInfo1D};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Memoization hooks for the expensive, shareable parts of solver
 /// construction: the polynomial geometry sampling (per mesh and mapping
@@ -112,7 +111,8 @@ pub struct StepInfo {
     pub viscous_iterations: usize,
     /// CG iterations of the penalty solve.
     pub penalty_iterations: usize,
-    /// Wall time of the whole step (seconds).
+    /// Wall time of the whole step (seconds): the duration of the `step`
+    /// span. Each stage time below is the duration of its `step.*` span.
     pub wall_seconds: f64,
     /// Wall time spent in the explicit convective step.
     pub convective_seconds: f64,
@@ -257,8 +257,7 @@ impl<const L: usize> FlowSolver<L> {
 
     /// Advance one time step (BDF1 on the first step, BDF2 afterwards).
     pub fn step(&mut self) -> StepInfo {
-        let t0 = Instant::now();
-        let _step_span = dgflow_trace::span("core", "step").meta(self.step_count as u64);
+        let step_span = dgflow_trace::span_timed("core", "step").meta(self.step_count as u64);
         let dt = self.dt;
         let coeff = if self.step_count == 0 {
             BdfCoefficients::bdf1()
@@ -269,8 +268,7 @@ impl<const L: usize> FlowSolver<L> {
         let gamma_dt = coeff.gamma0 / dt;
 
         // (1) explicit convective step
-        let tc = Instant::now();
-        let sp_stage = dgflow_trace::span("core", "step.convective");
+        let sp_stage = dgflow_trace::span_timed("core", "step.convective");
         let mut conv = vec![0.0; n_u];
         convective_term(&self.mf_u, &self.bcs, &self.velocity, &mut conv);
         let mut u_hat = vec![0.0; n_u];
@@ -297,12 +295,10 @@ impl<const L: usize> FlowSolver<L> {
             }
         }
 
-        drop(sp_stage);
-        let convective_seconds = tc.elapsed().as_secs_f64();
+        let convective_seconds = sp_stage.finish();
 
         // (2) pressure Poisson step
-        let tp = Instant::now();
-        let sp_stage = dgflow_trace::span("core", "step.pressure");
+        let sp_stage = dgflow_trace::span_timed("core", "step.pressure");
         let mut div = vec![0.0; self.pressure.len()];
         divergence(&self.mf_u, &self.mf_p, &self.bcs, &u_hat, &mut div);
         let bcs = &self.bcs;
@@ -328,12 +324,10 @@ impl<const L: usize> FlowSolver<L> {
             self.params.rel_tol,
             500,
         );
-        drop(sp_stage);
-        let pressure_seconds = tp.elapsed().as_secs_f64();
+        let pressure_seconds = sp_stage.finish();
 
         // (3) projection
-        let tg = Instant::now();
-        let sp_stage = dgflow_trace::span("core", "step.projection");
+        let sp_stage = dgflow_trace::span_timed("core", "step.projection");
         let mut gp = vec![0.0; n_u];
         gradient(&self.mf_u, &self.mf_p, &self.bcs, &self.pressure, &mut gp);
         {
@@ -351,12 +345,10 @@ impl<const L: usize> FlowSolver<L> {
                 }
             }
         }
-        drop(sp_stage);
-        let projection_seconds = tg.elapsed().as_secs_f64();
+        let projection_seconds = sp_stage.finish();
 
         // (4) viscous step, component by component
-        let tv = Instant::now();
-        let sp_stage = dgflow_trace::span("core", "step.viscous");
+        let sp_stage = dgflow_trace::span_timed("core", "step.viscous");
         self.helmholtz.set_factor(gamma_dt);
         let hh_diag = dgflow_solvers::LinearOperator::diagonal(&self.helmholtz);
         let hh_jacobi = JacobiPreconditioner::new(hh_diag);
@@ -386,12 +378,10 @@ impl<const L: usize> FlowSolver<L> {
             }
         }
 
-        drop(sp_stage);
-        let viscous_seconds = tv.elapsed().as_secs_f64();
+        let viscous_seconds = sp_stage.finish();
 
         // (5) penalty step
-        let tpen = Instant::now();
-        let sp_stage = dgflow_trace::span("core", "step.penalty");
+        let sp_stage = dgflow_trace::span_timed("core", "step.penalty");
         let u_scale = cell_velocity_scale(&self.mf_u, &u_star);
         let pen = PenaltyOperator::new(
             &self.mf_u,
@@ -423,8 +413,7 @@ impl<const L: usize> FlowSolver<L> {
             self.params.rel_tol,
             500,
         );
-        drop(sp_stage);
-        let penalty_seconds = tpen.elapsed().as_secs_f64();
+        let penalty_seconds = sp_stage.finish();
 
         // rotate state, adapt Δt
         self.velocity_old = std::mem::replace(&mut self.velocity, u_new);
@@ -434,13 +423,14 @@ impl<const L: usize> FlowSolver<L> {
         self.dt_old = dt;
         let scale = cell_velocity_scale(&self.mf_u, &self.velocity);
         self.dt = self.cfl.next_dt(&self.h_cell, &scale, dt);
+        let wall_seconds = step_span.finish();
         StepInfo {
             time: self.time,
             dt,
             pressure_iterations: pres.iterations,
             viscous_iterations,
             penalty_iterations: pres_pen.iterations,
-            wall_seconds: t0.elapsed().as_secs_f64(),
+            wall_seconds,
             convective_seconds,
             pressure_seconds,
             projection_seconds,

@@ -20,11 +20,11 @@
 //! of those corners. Campaigns built on other manifolds must key their
 //! own cache.
 
+use dgflow_check::sync::Mutex;
 use dgflow_core::solver::SolverSetup;
 use dgflow_fem::Mapping;
 use dgflow_mesh::{Forest, Manifold};
 use dgflow_tensor::{NodeSet, ShapeInfo1D};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

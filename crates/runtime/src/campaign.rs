@@ -14,9 +14,11 @@
 //!
 //! # Crash recovery protocol
 //!
-//! Every durable write is atomic (tmp + fsync + rename), so after a kill
-//! at any instant the directory holds a consistent manifest and, per
-//! case, either no checkpoint or a complete one. `resume` then:
+//! Every durable file (spec copy, manifest, checkpoints, summary) is
+//! written by [`durable_write`] (tmp + fsync + rename + directory fsync),
+//! so after a kill at any instant the directory holds a consistent
+//! manifest and, per case, either no checkpoint or a complete one.
+//! `resume` then:
 //!
 //! 1. loads the manifest and refuses to run if the spec text hash
 //!    changed (the fingerprint pins campaign identity);
@@ -32,19 +34,20 @@
 //! kill-and-resume integration test and the `runtime-smoke` CI step.
 
 use crate::cache::SetupCache;
+use crate::durable::durable_write;
 use crate::json::Json;
 use crate::manifest::{canonical_fingerprint, text_fingerprint, CaseRecord, CaseStatus, Manifest};
 use crate::sched;
 use crate::spec::{CampaignSpec, CaseSpec, MeshKind};
 use crate::telemetry::{summary_table, Telemetry};
+use dgflow_check::sync::Mutex;
 use dgflow_comm::CancelToken;
 use dgflow_core::bc::{BcKind, FlowBcs};
 use dgflow_core::checkpoint::Checkpoint;
 use dgflow_core::{FlowParams, FlowSolver, VentilationModel, VentilatorSettings};
 use dgflow_lung::{lung_mesh, INLET_ID};
 use dgflow_mesh::{CoarseMesh, Forest, TrilinearManifold};
-use parking_lot::Mutex;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -186,17 +189,11 @@ impl ActiveCase {
     }
 }
 
-/// Atomically write a checkpoint file (tmp + fsync + rename).
+/// Durably write a checkpoint file.
 fn write_checkpoint_file(path: &Path, ck: &Checkpoint) -> io::Result<()> {
-    let tmp = path.with_extension("ck.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        let mut buf = Vec::new();
-        ck.write(&mut buf)?;
-        f.write_all(&buf)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    let mut buf = Vec::new();
+    ck.write(&mut buf)?;
+    durable_write(path, &buf)
 }
 
 /// Shared mutable campaign state: the manifest plus its persistence.
@@ -397,7 +394,7 @@ pub fn run_campaign_with(
         }
         // Durable copy of the spec, so `resume <output-dir>` works even
         // if the original file moved.
-        std::fs::write(out.join("campaign.toml"), spec_text)?;
+        durable_write(&out.join("campaign.toml"), spec_text.as_bytes())?;
         let m = Manifest::new(
             &spec.name,
             fingerprint,
@@ -496,9 +493,10 @@ pub fn run_campaign_with(
             ])
         }),
     ]);
-    let tmp = out.join("summary.json.tmp");
-    std::fs::write(&tmp, format!("{summary_doc}\n"))?;
-    std::fs::rename(&tmp, out.join("summary.json"))?;
+    durable_write(
+        &out.join("summary.json"),
+        format!("{summary_doc}\n").as_bytes(),
+    )?;
 
     Ok(CampaignOutcome {
         manifest,
@@ -564,6 +562,36 @@ pressure_drop = 0.1
         let again = run_campaign(&spec, &text, true, &cancel).unwrap();
         assert!(again.manifest.all_completed());
         assert!(again.summaries.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resume_never_reads_stale_tmp_files() {
+        let dir = std::env::temp_dir().join(format!("dgflow-campaign-tmp-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (spec, text) = toy_spec(&dir.join("out"));
+        let out = &spec.output;
+        // A cancelled start leaves a pending manifest and no checkpoint.
+        let cancel = CancelToken::default();
+        cancel.cancel();
+        run_campaign(&spec, &text, false, &cancel).unwrap();
+        // Torn tmp files of writers killed before their rename: a loader
+        // that read any of them would fail the resume.
+        std::fs::create_dir_all(out.join("duct")).unwrap();
+        let stale = [
+            "manifest.json.tmp",
+            "summary.json.tmp",
+            "duct/checkpoint.ck.tmp",
+        ];
+        for name in stale {
+            std::fs::write(out.join(name), "torn").unwrap();
+        }
+        let outcome = run_campaign(&spec, &text, true, &CancelToken::default()).unwrap();
+        assert!(outcome.manifest.all_completed());
+        assert_eq!(outcome.manifest.cases[0].steps_done, 5);
+        for name in stale {
+            assert!(!out.join(name).exists(), "{name} reused by the next write");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -20,7 +20,8 @@
 //!   degree)`.
 //! * **Fault tolerance** ([`campaign`], [`manifest`]) — periodic atomic
 //!   checkpoints, a durable per-case manifest, and `resume` that
-//!   continues a killed campaign from the last checkpoints.
+//!   continues a killed campaign from the last checkpoints. Every durable
+//!   file goes through the one writer [`durable_write`].
 //! * **Telemetry** ([`telemetry`]) — per-kernel wall time and DoF
 //!   throughput as JSONL, cross-checked against the analytic
 //!   [`dgflow_perfmodel`] work model.
@@ -30,6 +31,7 @@
 
 pub mod cache;
 pub mod campaign;
+mod durable;
 pub mod json;
 pub mod manifest;
 pub mod sched;
@@ -39,5 +41,6 @@ pub mod toml;
 
 pub use cache::{CacheSnapshot, SetupCache};
 pub use campaign::{run_campaign, run_campaign_with, CampaignOutcome};
+pub use durable::durable_write;
 pub use manifest::{canonical_fingerprint, text_fingerprint, CaseStatus, Manifest};
 pub use spec::{CampaignSpec, CaseSpec, MeshKind};

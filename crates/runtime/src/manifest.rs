@@ -2,15 +2,15 @@
 //!
 //! One JSON document per campaign output directory, listing every case
 //! with its status, progress, and checkpoint location. Every mutation is
-//! persisted atomically (write to `manifest.json.tmp`, fsync, rename),
-//! so a process killed at any instant leaves either the previous or the
-//! next consistent manifest — never a torn one. `dgflow resume` reads it
+//! persisted with [`crate::durable_write`], so a process killed at any
+//! instant leaves either the previous or the next consistent manifest —
+//! never a torn one. `dgflow resume` reads it
 //! to decide which cases are done, which crashed mid-flight (status
 //! `running`) and restart from their checkpoints, and which never
 //! started.
 
 use crate::json::{self, Json};
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Lifecycle of one case.
@@ -166,16 +166,12 @@ impl Manifest {
         ])
     }
 
-    /// Persist atomically into `dir` (tmp + fsync + rename).
+    /// Persist durably into `dir` (see [`crate::durable_write`]).
     pub fn save(&self, dir: &Path) -> io::Result<()> {
-        let tmp = dir.join("manifest.json.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(self.to_json().to_string().as_bytes())?;
-            f.write_all(b"\n")?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, Self::path_in(dir))
+        crate::durable_write(
+            &Self::path_in(dir),
+            format!("{}\n", self.to_json()).as_bytes(),
+        )
     }
 
     /// Load from `dir`.
@@ -329,6 +325,21 @@ mod tests {
         assert!(CaseStatus::Failed.needs_run());
         assert!(CaseStatus::Cancelled.needs_run());
         assert!(!CaseStatus::Completed.needs_run());
+    }
+
+    #[test]
+    fn load_never_reads_a_stale_tmp() {
+        let dir = std::env::temp_dir().join(format!("dgflow-manifest-tmp-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let m = Manifest::new("toy", text_fingerprint("spec"), [("a".to_string(), 4)]);
+        m.save(&dir).unwrap();
+        // A writer killed before its rename leaves a torn tmp behind.
+        let tmp = dir.join("manifest.json.tmp");
+        std::fs::write(&tmp, "{\"campaign\": \"torn").unwrap();
+        assert_eq!(Manifest::load(&dir).unwrap().campaign, "toy");
+        m.save(&dir).unwrap();
+        assert!(!tmp.exists(), "the next save reuses the stale tmp");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -565,9 +565,9 @@ fn trace_cmd(target: &Path) -> ExitCode {
         out_path.display()
     );
 
-    // Reconciliation: the per-stage spans in `core::solver::step` bracket
-    // the same intervals as the `kernel_seconds` timers, so their totals
-    // should agree to within a percent.
+    // Reconciliation: the `kernel_seconds` timers are the durations of the
+    // per-stage spans in `core::solver::step`, so their totals agree up to
+    // rounding; a gap means spans were dropped or belong to another case.
     for rec in records.iter().filter(|r| is_final(r)) {
         if rec.get("type").and_then(Json::as_str) != Some("case_summary") {
             continue;

@@ -6,7 +6,7 @@
 //! * **Protocol** ([`proto`]) — line-delimited JSON over a Unix domain
 //!   socket: `submit | status | result | cancel | stats | shutdown`.
 //! * **Durable job queue** ([`queue`]) — accepted jobs persist to
-//!   `queue.json` (tmp + fsync + rename, like the campaign manifest)
+//!   `queue.json` (through `durable_write`, like the campaign manifest)
 //!   *before* the submit is acknowledged; a killed daemon restarts with
 //!   its queue intact and resumes running jobs from their checkpoints.
 //! * **Fairness** ([`fair`]) — deficit-round-robin dispatch across

@@ -1,9 +1,9 @@
 //! The durable job table: the service's record of every accepted job.
 //!
 //! One JSON document (`queue.json`) per service state directory, written
-//! atomically with the same tmp + fsync + rename discipline as the
-//! campaign manifest — a daemon killed at any instant leaves either the
-//! previous or the next consistent table, never a torn one. A `submit`
+//! by the same [`dgflow_runtime::durable_write`] as the campaign manifest
+//! — a daemon killed at any instant leaves either the previous or the
+//! next consistent table, never a torn one. A `submit`
 //! response is only sent after the table hits disk, so an acknowledged
 //! job is never lost.
 //!
@@ -14,9 +14,9 @@
 //! hold checkpoints and a manifest, so re-running them resumes rather
 //! than restarts — the whole-queue analogue of `dgflow resume`.
 
+use dgflow_check::sync::Mutex;
 use dgflow_runtime::json::{self, Json};
-use parking_lot::Mutex;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Lifecycle of one accepted job.
@@ -192,7 +192,7 @@ impl JobTable {
     }
 }
 
-/// Atomic write of the whole table (tmp + fsync + rename).
+/// Durable write of the whole table.
 fn persist(dir: &Path, records: &[JobRecord]) -> io::Result<()> {
     let doc = Json::obj([(
         "jobs",
@@ -217,14 +217,7 @@ fn persist(dir: &Path, records: &[JobRecord]) -> io::Result<()> {
                 .collect(),
         ),
     )]);
-    let tmp = dir.join("queue.json.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(doc.to_string().as_bytes())?;
-        f.write_all(b"\n")?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, JobTable::path_in(dir))
+    dgflow_runtime::durable_write(&JobTable::path_in(dir), format!("{doc}\n").as_bytes())
 }
 
 fn parse_table(text: &str) -> Result<Vec<JobRecord>, String> {
@@ -297,6 +290,25 @@ mod tests {
         assert_eq!(r.cost, 15);
         assert_eq!(r.spec_text, "[campaign]\nname = \"toy\"\n");
         assert!(!dir.join("queue.json.tmp").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn load_never_reads_a_stale_tmp() {
+        let dir = std::env::temp_dir().join(format!("dgflow-jobtable-tmp-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        JobTable::load_or_new(&dir)
+            .unwrap()
+            .upsert(record(7, JobState::Queued))
+            .unwrap();
+        // A daemon killed before its rename leaves a torn tmp behind.
+        let tmp = dir.join("queue.json.tmp");
+        std::fs::write(&tmp, "{\"jobs\": [{\"finger").unwrap();
+        let back = JobTable::load_or_new(&dir).unwrap();
+        assert_eq!(back.all().len(), 1);
+        assert_eq!(back.get(7).unwrap().state, JobState::Queued);
+        back.set_state(7, JobState::Completed, None).unwrap();
+        assert!(!tmp.exists(), "the next write reuses the stale tmp");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

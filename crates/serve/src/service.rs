@@ -32,11 +32,11 @@
 use crate::fair::FairScheduler;
 use crate::proto::{self, Request};
 use crate::queue::{JobRecord, JobState, JobTable};
+use dgflow_check::sync::Mutex;
 use dgflow_comm::CancelToken;
 use dgflow_runtime::json::{self, Json};
 use dgflow_runtime::{run_campaign_with, CampaignSpec, Manifest, SetupCache};
 use dgflow_trace::{Counter, Gauge, Histogram};
-use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::os::unix::net::{UnixListener, UnixStream};

@@ -2,8 +2,8 @@
 //! `DGFLOW_TRACE=coarse`, convert its telemetry with `dgflow trace`, and
 //! validate the exported Chrome trace with the runtime's own JSON parser
 //! — structure, per-track monotonic ordering, roofline annotations, and
-//! the ≤1% reconciliation between stage spans and the `case_summary`
-//! kernel timers.
+//! that the stage spans and the `case_summary` kernel timers agree to
+//! rounding (the timers are read from the spans).
 
 use dgflow_runtime::json::{self, Json};
 use std::path::Path;
@@ -85,7 +85,8 @@ fn traced_campaign_exports_a_valid_chrome_trace() {
         "case_summary carries the metrics delta"
     );
 
-    // Stage spans must reconcile with the summary's kernel timers ≤1%.
+    // The kernel timers are the stage spans' durations: they agree to
+    // floating-point rounding of the sums.
     let kernel_s: f64 = summary
         .get("kernel_seconds")
         .and_then(Json::to_map)
@@ -108,9 +109,8 @@ fn traced_campaign_exports_a_valid_chrome_trace() {
     assert!(kernel_s > 0.0, "kernel timers must be populated");
     let rel = (span_s - kernel_s).abs() / kernel_s;
     assert!(
-        rel <= 0.01,
-        "stage spans ({span_s:.4}s) vs kernel timers ({kernel_s:.4}s): {:.2}% apart",
-        rel * 100.0
+        rel <= 1e-9,
+        "stage spans ({span_s:.9}s) vs kernel timers ({kernel_s:.9}s): {rel:.3e} apart"
     );
 
     // Export and validate the Chrome trace.

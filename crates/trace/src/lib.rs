@@ -135,6 +135,14 @@ pub fn span(cat: &'static str, name: &'static str) -> Span {
     Span::new(cat, name, Level::Coarse)
 }
 
+/// Open a coarse span whose duration the caller reads with
+/// [`Span::finish`]. It reads the clock even with tracing off, so use it
+/// only where that time is wanted; plain [`span`] stays a branch when off.
+#[inline]
+pub fn span_timed(cat: &'static str, name: &'static str) -> Span {
+    Span::timed(cat, name)
+}
+
 /// Open a fine-grained span (subject to `set_fine_sample`).
 #[inline]
 pub fn span_fine(cat: &'static str, name: &'static str) -> Span {

@@ -165,6 +165,16 @@ impl Span {
         }
     }
 
+    /// A coarse span that keeps its start time even when it records
+    /// nothing, so [`Span::finish`] can report its duration.
+    pub(crate) fn timed(cat: &'static str, name: &'static str) -> Self {
+        let mut span = Self::new(cat, name, Level::Coarse);
+        if !span.armed {
+            span.start_ns = now_ns();
+        }
+        span
+    }
+
     fn disarmed(cat: &'static str, name: &'static str) -> Self {
         Self {
             start_ns: 0,
@@ -198,14 +208,22 @@ impl Span {
     pub fn set_work(&mut self, flops: f64) {
         self.work_flops = flops;
     }
-}
 
-impl Drop for Span {
-    fn drop(&mut self) {
-        if !self.armed {
+    /// Close the span now and return its duration in seconds: the same
+    /// nanoseconds its [`SpanRecord`] carries when tracing is on. Only
+    /// spans opened with [`crate::span_timed`] have a start time when
+    /// tracing is off.
+    pub fn finish(mut self) -> f64 {
+        let end_ns = now_ns();
+        self.record(end_ns);
+        end_ns.saturating_sub(self.start_ns) as f64 * 1e-9
+    }
+
+    /// Push the record (once) if the span is armed.
+    fn record(&mut self, end_ns: u64) {
+        if !std::mem::take(&mut self.armed) {
             return;
         }
-        let end_ns = now_ns();
         with_recorder(|r| {
             // ordering: Relaxed — owner-thread-only counter.
             r.depth.fetch_sub(1, Ordering::Relaxed);
@@ -220,6 +238,14 @@ impl Drop for Span {
                 work_flops: self.work_flops,
             });
         });
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        if self.armed {
+            self.record(now_ns());
+        }
     }
 }
 

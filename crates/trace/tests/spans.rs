@@ -35,6 +35,28 @@ fn disabled_tracing_records_nothing() {
 }
 
 #[test]
+fn finish_reports_the_recorded_duration_once() {
+    let _g = guard();
+    trace::set_level(trace::Level::Coarse);
+    let secs = trace::span_timed("t", "finish.on").finish();
+    trace::set_level(trace::Level::Off);
+    let spans = drain_named(|n| n == "finish.on");
+    assert_eq!(
+        spans.len(),
+        1,
+        "finish records the span, drop does not again"
+    );
+    assert_eq!(secs, spans[0].duration_ns() as f64 * 1e-9);
+    let timed = trace::span_timed("t", "finish.off");
+    std::thread::sleep(std::time::Duration::from_millis(2));
+    assert!(
+        timed.finish() >= 2e-3,
+        "a timed span keeps time with tracing off"
+    );
+    assert!(drain_named(|n| n == "finish.off").is_empty());
+}
+
+#[test]
 fn child_span_time_never_exceeds_the_parent() {
     let _g = guard();
     trace::set_level(trace::Level::Fine);
