@@ -57,7 +57,7 @@ fn case() -> Case {
 /// One rank's worth of applies: a deterministic source (ghosts included,
 /// they are overwritten by the exchange) pushed through the operator
 /// `APPLIES` times.
-fn apply_many(comm: &dyn Communicator, case: &Case, part: &Partition, plan: &OverlapPlan) {
+fn apply_many(comm: &dyn Communicator, case: &Case, part: &Partition, plan: &OverlapPlan<LANES>) {
     let dpc = case.mf.dofs_per_cell;
     let n_local = part.n_local();
     let mut src: Vec<f64> = (0..n_local).map(|i| (i % 17) as f64 * 0.1).collect();
@@ -85,7 +85,7 @@ fn bench_dist(c: &mut Criterion) {
     // 2 ranks: real ghost exchange between in-process ranks, partitions
     // and plans precomputed so the timed loop holds only spawn + applies.
     let parts2: Vec<Partition> = build_partitions(&case.forest, &case.mf, 2);
-    let plans2: Vec<OverlapPlan> = parts2
+    let plans2: Vec<OverlapPlan<LANES>> = parts2
         .iter()
         .map(|p| OverlapPlan::build(p, &case.mf))
         .collect();

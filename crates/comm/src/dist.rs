@@ -7,15 +7,17 @@
 //! nearest-neighbor exchange with non-blocking sends, mirroring the
 //! overlap-friendly communication structure of Sec. 3.2.
 //!
-//! The exchange is split into `start_*`/`finish_*` halves so callers can
+//! The ghost update is split into `start`/`finish` halves so callers can
 //! overlap interior compute with the halo transfer (the paper's scaling
 //! lever): [`GhostPattern::start_update`] posts the eager sends and
 //! returns a [`HaloUpdate`] epoch guard; the caller sweeps cells that
 //! touch no ghost data; [`GhostPattern::finish_update`] then blocks only
-//! on whatever has not yet arrived. The guards are backed by the
+//! on whatever has not yet arrived. The guard is backed by the
 //! [`crate::nb::ExchangeState`] state machine, so misuse (finish before
 //! start, double finish, dropping an in-flight epoch) panics with a
-//! diagnostic instead of silently corrupting ghost values.
+//! diagnostic instead of silently corrupting ghost values. The reverse
+//! [`GhostPattern::compress_add`] is blocking: nothing is left to overlap
+//! it with once the operator's sweeps are done.
 
 use crate::comm::Communicator;
 use crate::nb::ExchangeState;
@@ -103,50 +105,23 @@ impl GhostPattern {
     /// entries accumulated locally are sent back and *added* to the owners'
     /// values, then the ghost block is zeroed.
     pub fn compress_add(&self, comm: &dyn Communicator, v: &mut [f64], n_owned: usize) {
-        let epoch = self.start_compress_add(comm, v, n_owned);
-        self.finish_compress_add(comm, v, n_owned, epoch);
-    }
-
-    /// Post the send half of a compress: ship the ghost segments back to
-    /// their owners (eager) and zero them locally. Compute not touching
-    /// the *owned* boundary entries may overlap before
-    /// [`GhostPattern::finish_compress_add`].
-    #[must_use = "an exchange epoch must be finished; dropping it mid-flight panics"]
-    pub fn start_compress_add(
-        &self,
-        comm: &dyn Communicator,
-        v: &mut [f64],
-        n_owned: usize,
-    ) -> PendingCompress {
         debug_assert_eq!(v.len(), n_owned + self.n_ghosts());
-        let _sp = dgflow_trace::span("comm", "comm.send");
-        let mut state = ExchangeState::default();
-        state.start();
-        let mut offset = n_owned;
-        let mut sends = Vec::with_capacity(self.recv.len());
-        for &(dest, n) in &self.recv {
-            sends.push((dest, TAG_COMPRESS, v[offset..offset + n].to_vec()));
-            for g in &mut v[offset..offset + n] {
-                *g = 0.0;
+        {
+            // ship the ghost segments back to their owners, zero them here
+            let _sp = dgflow_trace::span("comm", "comm.send");
+            let mut offset = n_owned;
+            let mut sends = Vec::with_capacity(self.recv.len());
+            for &(dest, n) in &self.recv {
+                sends.push((dest, TAG_COMPRESS, v[offset..offset + n].to_vec()));
+                for g in &mut v[offset..offset + n] {
+                    *g = 0.0;
+                }
+                offset += n;
             }
-            offset += n;
+            comm.start_exchange(sends);
         }
-        comm.start_exchange(sends);
-        PendingCompress { state }
-    }
-
-    /// Receive the peers' ghost contributions and add them into the owned
-    /// entries listed in `send`.
-    pub fn finish_compress_add(
-        &self,
-        comm: &dyn Communicator,
-        v: &mut [f64],
-        n_owned: usize,
-        mut epoch: PendingCompress,
-    ) {
-        debug_assert_eq!(v.len(), n_owned + self.n_ghosts());
+        // add the peers' contributions into the owned entries in `send`
         let _sp = dgflow_trace::span("comm", "comm.recv_wait");
-        epoch.state.finish();
         let recvs: Vec<(usize, u64)> = self
             .send
             .iter()
@@ -176,13 +151,6 @@ pub struct HaloUpdate {
     state: ExchangeState,
 }
 
-/// Epoch guard of an in-flight compress (ghost→owner direction); see
-/// [`HaloUpdate`].
-#[derive(Debug)]
-pub struct PendingCompress {
-    state: ExchangeState,
-}
-
 impl Drop for HaloUpdate {
     fn drop(&mut self) {
         if self.state.is_started() && !std::thread::panicking() {
@@ -190,18 +158,6 @@ impl Drop for HaloUpdate {
                 "a started ghost-update epoch was dropped without finish_update — \
                  every start_update must be matched by exactly one finish_update \
                  on the same pattern"
-            );
-        }
-    }
-}
-
-impl Drop for PendingCompress {
-    fn drop(&mut self) {
-        if self.state.is_started() && !std::thread::panicking() {
-            panic!(
-                "a started compress epoch was dropped without finish_compress_add — \
-                 every start_compress_add must be matched by exactly one \
-                 finish_compress_add on the same pattern"
             );
         }
     }
@@ -412,28 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn split_compress_matches_blocking_compress() {
-        let n_local = 5;
-        let run = |split: bool| {
-            ThreadComm::run(3, move |comm| {
-                let pat = chain_pattern(comm.rank(), comm.size(), n_local);
-                let mut v = vec![0.0; n_local + pat.n_ghosts()];
-                for (g, x) in v[n_local..].iter_mut().enumerate() {
-                    *x = (comm.rank() * 10 + g + 1) as f64;
-                }
-                if split {
-                    let epoch = pat.start_compress_add(comm, &mut v, n_local);
-                    pat.finish_compress_add(comm, &mut v, n_local, epoch);
-                } else {
-                    pat.compress_add(comm, &mut v, n_local);
-                }
-                v
-            })
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
     #[should_panic(expected = "dropped without finish_update")]
     fn dropping_started_epoch_panics() {
         ThreadComm::run(2, |comm| {
@@ -452,7 +386,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Random partitions of a global vector round-trip
-        /// `update` + `compress_add` through the split start/finish path:
+        /// the split `start_update`/`finish_update` path and `compress_add`:
         /// after an update every ghost mirrors its owner, and a compress
         /// of ghost increments accumulates exactly once into each owner.
         #[test]
@@ -499,8 +433,7 @@ mod tests {
                 for g in v[n_local..].iter_mut() {
                     *g += 1.0;
                 }
-                let epoch = pat.start_compress_add(comm, &mut v, n_local);
-                pat.finish_compress_add(comm, &mut v, n_local, epoch);
+                pat.compress_add(comm, &mut v, n_local);
                 ok &= v[n_local..].iter().all(|&g| g == 0.0);
                 // each owned entry gained (old value + 1) per wanter
                 for i in 0..n_local {

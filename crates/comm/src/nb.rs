@@ -103,9 +103,8 @@ impl MsgQueue {
     }
 }
 
-/// The start/finish protocol of one exchange epoch. The `DistVector`
-/// layer guards ([`crate::dist::HaloUpdate`], [`crate::dist::PendingCompress`])
-/// each own one of these; misuse of the split path — finishing an epoch
+/// The start/finish protocol of one exchange epoch. The ghost-update
+/// guard [`crate::dist::HaloUpdate`] owns one of these; misuse of the split path — finishing an epoch
 /// that was never started, finishing twice, or dropping a started epoch
 /// without completing it — is a programming error and panics with a
 /// diagnostic rather than silently corrupting ghost data.

@@ -1,6 +1,7 @@
 //! Distributed-memory SPMD evaluation of the SIPG Laplacian — the MPI
-//! parallelization of Sec. 3.2 realized on the in-process
-//! [`dgflow_comm::Communicator`] substrate.
+//! parallelization of Sec. 3.2 over any [`Communicator`]: `ThreadComm`
+//! ranks in one process, `ProcessComm` ranks as OS processes over
+//! sockets, or `SelfComm` on one rank.
 //!
 //! The active cells are partitioned into contiguous Morton ranges (one per
 //! rank). Each rank evaluates the cell integrals of its own cells and the
@@ -11,17 +12,25 @@
 //! `update_ghost_values` / `compress(add)` pattern of the paper's
 //! deal.II-based implementation.
 //!
-//! The heavy setup data (`MatrixFree`) is shared read-only between the
-//! thread ranks, as it would be between MPI ranks on one node using shared
-//! memory windows; all *solution data* flows through messages only.
+//! Every rank builds the setup data (`MatrixFree`, partitions, plans)
+//! redundantly and deterministically; all *solution data* flows through
+//! messages only. The batches run the serial operator's own kernels and
+//! the evaluator's gather/scatter: [`OverlapPlan`] maps each lane to its
+//! rank-local slot once, so a distributed sweep differs from the serial
+//! loop only in the index tables it passes. [`DistributedLaplace`] wraps
+//! the application as a [`LinearOperator`] over owned-length vectors,
+//! which the solvers' `cg_solve_on` runs as it runs a serial operator.
 
-use crate::evaluator::{CellScratch, FaceScratch};
+use crate::evaluator::{gather_face_cells, scatter_add_face_cells, CellScratch, FaceScratch};
 use crate::matrixfree::MatrixFree;
 use crate::operators::laplace::LaplaceOperator;
+use crate::util::SharedMut;
 use dgflow_comm::{Communicator, GhostPattern};
 use dgflow_mesh::Forest;
-use dgflow_simd::{Real, Simd};
-use std::collections::BTreeMap;
+use dgflow_simd::Real;
+use dgflow_solvers::LinearOperator;
+use std::sync::Mutex;
+use std::time::Instant;
 
 /// The per-rank partition layout of a DG vector.
 #[derive(Clone, Debug)]
@@ -30,10 +39,9 @@ pub struct Partition {
     pub rank: usize,
     /// Owned cell range (contiguous in SFC order).
     pub own_cells: std::ops::Range<usize>,
-    /// Ghost cells in receive order (grouped by owner rank, ascending).
+    /// Ghost cells in receive order: ascending, which groups them by
+    /// owner rank. Their local slots follow the owned cells.
     pub ghost_cells: Vec<usize>,
-    /// Cell → local slot (owned cells first, then ghosts).
-    pub local_slot: BTreeMap<usize, usize>,
     /// The ghost-exchange pattern (indices in *local DoF* space).
     pub pattern: GhostPattern,
     /// Scalar DoFs per cell.
@@ -56,7 +64,8 @@ impl Partition {
         if self.own_cells.contains(&cell) {
             Some(cell - self.own_cells.start)
         } else {
-            self.local_slot.get(&cell).copied()
+            let g = self.ghost_cells.binary_search(&cell).ok()?;
+            Some(self.own_cells.len() + g)
         }
     }
 }
@@ -105,21 +114,12 @@ pub fn build_partitions<T: Real, const L: usize>(
     }
     // assemble partitions with symmetric send/recv lists
     let mut parts: Vec<Partition> = (0..n_ranks)
-        .map(|r| {
-            let ghost_cells: Vec<usize> = ghosts[r].iter().copied().collect();
-            let own = range_of(r);
-            let mut local_slot = BTreeMap::new();
-            for (i, &c) in ghost_cells.iter().enumerate() {
-                local_slot.insert(c, own.len() + i);
-            }
-            Partition {
-                rank: r,
-                own_cells: own,
-                ghost_cells,
-                local_slot,
-                pattern: GhostPattern::default(),
-                dpc,
-            }
+        .map(|r| Partition {
+            rank: r,
+            own_cells: range_of(r),
+            ghost_cells: ghosts[r].iter().copied().collect(),
+            pattern: GhostPattern::default(),
+            dpc,
         })
         .collect();
     for r in 0..n_ranks {
@@ -157,98 +157,87 @@ pub fn build_partitions<T: Real, const L: usize>(
     parts
 }
 
-/// Gather a cell batch from a rank-local vector (missing cells read zero —
-/// their lanes are never scattered).
-fn gather_local<T: Real, const L: usize>(
-    part: &Partition,
-    cells: &[u32; L],
-    n_filled: usize,
-    v: &[f64],
-    dpc: usize,
-    out: &mut [Simd<T, L>],
-) {
-    for i in 0..dpc {
-        let mut s = Simd::<T, L>::zero();
-        for l in 0..n_filled {
-            if cells[l] == u32::MAX {
-                continue;
-            }
-            if let Some(slot) = part.slot(cells[l] as usize) {
-                s[l] = T::from_f64(v[slot * dpc + i]);
-            }
-        }
-        out[i] = s;
-    }
-}
-
-fn scatter_local<T: Real, const L: usize>(
-    part: &Partition,
-    cells: &[u32; L],
-    n_filled: usize,
-    vals: &[Simd<T, L>],
-    dpc: usize,
-    v: &mut [f64],
-    mask: impl Fn(usize) -> bool,
-) {
-    for l in 0..n_filled {
-        if cells[l] == u32::MAX || !mask(l) {
-            continue;
-        }
-        if let Some(slot) = part.slot(cells[l] as usize) {
-            for i in 0..dpc {
-                v[slot * dpc + i] += vals[i][l].to_f64();
-            }
-        }
-    }
+/// One batch of this rank's compute with the rank-local cell slot of each
+/// lane, `u32::MAX` where the lane is not read (gather) or not written
+/// (scatter) on this rank.
+#[derive(Clone, Debug)]
+pub(crate) struct PlannedBatch<const L: usize> {
+    /// A face batch (`mf.face_batches`), else a cell batch
+    /// (`mf.cell_batches`).
+    pub(crate) face: bool,
+    /// Index of the batch in its list.
+    pub(crate) index: u32,
+    /// Slots read per side (minus, plus); a cell batch uses side 0.
+    pub(crate) gather: [[u32; L]; 2],
+    /// Slots written per side: the owned lanes of a cell batch; the lanes
+    /// of a face batch whose minus cell is owned, on both sides (plus
+    /// slots may be ghosts, returned to their owner by compress).
+    pub(crate) scatter: [[u32; L]; 2],
 }
 
 /// Static interior/boundary classification of this rank's compute — the
 /// overlap schedule of the distributed operator application (the paper's
 /// Sec. 3.2 scaling lever). A batch is *interior* when none of its lanes
 /// reads a ghost slot, so it can be evaluated while the halo exchange is
-/// still in flight; *halo* batches wait for `finish_update`.
+/// still in flight; *halo* batches wait for `finish_update`. Both lists
+/// hold the cell batches first, then the face batches, in batch order.
 #[derive(Clone, Debug, Default)]
-pub struct OverlapPlan {
-    /// Cell-batch indices evaluable before the halo arrives.
-    pub interior_cells: Vec<u32>,
-    /// Cell-batch indices reading at least one ghost lane.
-    pub halo_cells: Vec<u32>,
-    /// Face-batch indices evaluable before the halo arrives.
-    pub interior_faces: Vec<u32>,
-    /// Face-batch indices reading at least one ghost lane.
-    pub halo_faces: Vec<u32>,
+pub struct OverlapPlan<const L: usize> {
+    /// Batches evaluable before the halo arrives.
+    pub(crate) interior: Vec<PlannedBatch<L>>,
+    /// Batches reading at least one ghost lane.
+    pub(crate) halo: Vec<PlannedBatch<L>>,
 }
 
-impl OverlapPlan {
-    /// Classify every batch this rank computes. Irrelevant batches (no
-    /// owned lane) appear in neither list.
-    pub fn build<T: Real, const L: usize>(part: &Partition, mf: &MatrixFree<T, L>) -> Self {
-        // local_slot holds exactly the ghost cells (owned cells resolve
-        // through the contiguous range), so "reads a ghost" is a map probe
-        let is_ghost = |cell: u32| part.local_slot.contains_key(&(cell as usize));
+impl<const L: usize> OverlapPlan<L> {
+    /// Classify every batch this rank computes and tabulate its lane
+    /// slots. Irrelevant batches (no owned lane) appear in neither list.
+    pub fn build<T: Real>(part: &Partition, mf: &MatrixFree<T, L>) -> Self {
+        let none = [u32::MAX; L];
         let owned = |cell: u32| part.own_cells.contains(&(cell as usize));
+        // slots of `cells[l]` on the first `n` lanes where `keep(l)`
+        // (an inactive lane's `u32::MAX` is no cell of this rank)
+        let slots = |cells: &[u32; L], n: usize, keep: &dyn Fn(usize) -> bool| {
+            std::array::from_fn(|l| match part.slot(cells[l] as usize) {
+                Some(s) if l < n && keep(l) => s as u32,
+                _ => u32::MAX,
+            })
+        };
+        let n_own = part.own_cells.len() as u32;
         let mut plan = Self::default();
-        for (bi, b) in mf.cell_batches.iter().enumerate() {
-            if !(0..b.n_filled).any(|l| owned(b.cells[l])) {
-                continue;
+        let mut add = |batch: PlannedBatch<L>| {
+            if batch.scatter[0].iter().all(|&s| s == u32::MAX) {
+                return;
             }
-            if (0..b.n_filled).any(|l| is_ghost(b.cells[l])) {
-                plan.halo_cells.push(bi as u32);
+            let reads_ghost = batch
+                .gather
+                .as_flattened()
+                .iter()
+                .any(|&s| s != u32::MAX && s >= n_own);
+            if reads_ghost {
+                plan.halo.push(batch);
             } else {
-                plan.interior_cells.push(bi as u32);
+                plan.interior.push(batch);
             }
+        };
+        for (bi, b) in mf.cell_batches.iter().enumerate() {
+            let n = b.n_filled;
+            add(PlannedBatch {
+                face: false,
+                index: bi as u32,
+                gather: [slots(&b.cells, n, &|_| true), none],
+                scatter: [slots(&b.cells, n, &|l| owned(b.cells[l])), none],
+            });
         }
         for (bi, b) in mf.face_batches.iter().enumerate() {
-            if !(0..b.n_filled).any(|l| owned(b.minus[l])) {
-                continue;
-            }
-            let reads_ghost = (0..b.n_filled)
-                .any(|l| is_ghost(b.minus[l]) || (b.plus[l] != u32::MAX && is_ghost(b.plus[l])));
-            if reads_ghost {
-                plan.halo_faces.push(bi as u32);
-            } else {
-                plan.interior_faces.push(bi as u32);
-            }
+            let n = b.n_filled;
+            let mine = |l: usize| owned(b.minus[l]);
+            add(PlannedBatch {
+                face: true,
+                index: bi as u32,
+                gather: [slots(&b.minus, n, &|_| true), slots(&b.plus, n, &|_| true)],
+                scatter: [slots(&b.minus, n, &mine), slots(&b.plus, n, &mine)],
+            });
         }
         plan
     }
@@ -256,9 +245,8 @@ impl OverlapPlan {
 
 /// One distributed application of the SIPG Laplacian `op` on this rank:
 /// `dst_owned = (L src)_owned`, with `src`/`dst` in rank-local layout
-/// (owned block then ghosts, `f64` wire format). The batches run the
-/// operator's own fused cell and face kernels, through rank-local
-/// gathers and scatters.
+/// (owned block then ghosts). The batches run the operator's own fused
+/// cell and face kernels through the plan's lane tables.
 ///
 /// The evaluation order is the overlap schedule: the halo exchange is
 /// *started*, the plan's interior batches are swept while it is in
@@ -266,11 +254,11 @@ impl OverlapPlan {
 /// ghost-reading batches evaluated. The result is identical to the
 /// blocking order because interior batches read no ghost slot by
 /// construction.
-pub fn apply_distributed<T: Real, const L: usize>(
+pub fn apply_distributed<const L: usize>(
     comm: &dyn Communicator,
     part: &Partition,
-    plan: &OverlapPlan,
-    op: &LaplaceOperator<T, L>,
+    plan: &OverlapPlan<L>,
+    op: &LaplaceOperator<f64, L>,
     src: &mut [f64],
     dst: &mut Vec<f64>,
 ) {
@@ -278,73 +266,125 @@ pub fn apply_distributed<T: Real, const L: usize>(
     assert_eq!(src.len(), part.n_local());
     dst.clear();
     dst.resize(part.n_local(), 0.0);
-
-    let mut s = CellScratch::<T, L>::new(&op.mf);
-    let mut sf = (
-        FaceScratch::<T, L>::new(&op.mf),
-        FaceScratch::<T, L>::new(&op.mf),
+    let out = SharedMut::new(dst);
+    let mut scratch = (
+        CellScratch::new(&op.mf),
+        (FaceScratch::new(&op.mf), FaceScratch::new(&op.mf)),
     );
 
     // post the halo sends, sweep the interior while the wire is busy
     let epoch = part.pattern.start_update(comm, src, n_owned);
     {
         let _sp = dgflow_trace::span("comm", "comm.overlap_interior");
-        cell_sweep(part, op, &plan.interior_cells, src, dst, &mut s);
-        face_sweep(part, op, &plan.interior_faces, src, dst, &mut sf);
+        sweep(op, &plan.interior, src, &out, &mut scratch);
     }
     part.pattern.finish_update(comm, src, n_owned, epoch);
 
     // ghost data is in: the boundary-adjacent remainder
-    cell_sweep(part, op, &plan.halo_cells, src, dst, &mut s);
-    face_sweep(part, op, &plan.halo_faces, src, dst, &mut sf);
+    sweep(op, &plan.halo, src, &out, &mut scratch);
 
     // return remotely accumulated contributions to their owners
     part.pattern.compress_add(comm, dst, n_owned);
 }
 
-/// Cell integrals of the listed batches (owned lanes scatter; straddling
-/// batches recompute shared lanes).
-fn cell_sweep<T: Real, const L: usize>(
-    part: &Partition,
-    op: &LaplaceOperator<T, L>,
-    batches: &[u32],
+/// Cell and face integrals of the listed batches, serially, on rank-local
+/// vectors: the serial loop's kernels with the plan's lane tables.
+fn sweep<const L: usize>(
+    op: &LaplaceOperator<f64, L>,
+    batches: &[PlannedBatch<L>],
     src: &[f64],
-    dst: &mut [f64],
-    s: &mut CellScratch<T, L>,
+    dst: &SharedMut<f64>,
+    (cell, face): &mut (
+        CellScratch<f64, L>,
+        (FaceScratch<f64, L>, FaceScratch<f64, L>),
+    ),
 ) {
-    let mf = &*op.mf;
-    let dpc = mf.dofs_per_cell;
-    for &bi in batches {
-        let b = &mf.cell_batches[bi as usize];
-        gather_local(part, &b.cells, b.n_filled, src, dpc, &mut s.dofs);
-        op.cell_term(bi as usize, s);
-        scatter_local(part, &b.cells, b.n_filled, &s.dofs, dpc, dst, |l| {
-            part.own_cells.contains(&(b.cells[l] as usize))
-        });
+    let dpc = op.mf.dofs_per_cell;
+    for b in batches {
+        let bi = b.index as usize;
+        if b.face {
+            op.face_kernel(
+                bi,
+                face,
+                b.gather.each_ref(),
+                b.scatter.each_ref(),
+                src,
+                dst,
+            );
+        } else {
+            let n = op.mf.cell_batches[bi].n_filled;
+            gather_face_cells(&b.gather[0], n, src, dpc, 0, dpc, &mut cell.dofs);
+            op.cell_term(bi, cell);
+            scatter_add_face_cells(&b.scatter[0], n, &cell.dofs, dpc, 0, dpc, dst);
+        }
     }
 }
 
-/// Face integrals of the listed batches (minus-owned faces only; plus
-/// contributions may land in ghost slots and return through compress).
-fn face_sweep<T: Real, const L: usize>(
-    part: &Partition,
-    op: &LaplaceOperator<T, L>,
-    batches: &[u32],
-    src: &[f64],
-    dst: &mut [f64],
-    s: &mut (FaceScratch<T, L>, FaceScratch<T, L>),
-) {
-    let mf = &*op.mf;
-    let dpc = mf.dofs_per_cell;
-    for &bi in batches {
-        let minus = &mf.face_batches[bi as usize].minus;
-        let mine = |l: usize| part.own_cells.contains(&(minus[l] as usize));
-        op.face_kernel(
-            bi as usize,
-            s,
-            |cells, n, v| gather_local(part, cells, n, src, dpc, v),
-            |cells, n, v| scatter_local(part, cells, n, v, dpc, dst, mine),
+/// [`apply_distributed`] as a [`LinearOperator`] over this rank's owned
+/// block, for the solvers' `cg_solve_on`: each application copies the
+/// source into a ghosted buffer, applies, and copies the owned block out.
+pub struct DistributedLaplace<'a, const L: usize> {
+    comm: &'a dyn Communicator,
+    part: &'a Partition,
+    plan: &'a OverlapPlan<L>,
+    op: &'a LaplaceOperator<f64, L>,
+    state: Mutex<Applies>,
+}
+
+/// The ghosted buffers of a [`DistributedLaplace`] and its tally.
+struct Applies {
+    src: Vec<f64>,
+    dst: Vec<f64>,
+    count: usize,
+    seconds: f64,
+}
+
+impl<'a, const L: usize> DistributedLaplace<'a, L> {
+    /// Wrap `op` on this rank's partition and overlap plan.
+    pub fn new(
+        comm: &'a dyn Communicator,
+        part: &'a Partition,
+        plan: &'a OverlapPlan<L>,
+        op: &'a LaplaceOperator<f64, L>,
+    ) -> Self {
+        let state = Mutex::new(Applies {
+            src: vec![0.0; part.n_local()],
+            dst: Vec::new(),
+            count: 0,
+            seconds: 0.0,
+        });
+        Self {
+            comm,
+            part,
+            plan,
+            op,
+            state,
+        }
+    }
+
+    /// Applications so far and their total wall time in seconds.
+    pub fn applies(&self) -> (usize, f64) {
+        let s = self.state.lock().expect("distributed operator poisoned");
+        (s.count, s.seconds)
+    }
+}
+
+impl<const L: usize> LinearOperator<f64> for DistributedLaplace<'_, L> {
+    fn len(&self) -> usize {
+        self.part.n_owned()
+    }
+
+    fn apply(&self, src: &[f64], dst: &mut [f64]) {
+        let t = Instant::now();
+        let mut guard = self.state.lock().expect("distributed operator poisoned");
+        let s = &mut *guard;
+        s.src[..src.len()].copy_from_slice(src);
+        apply_distributed(
+            self.comm, self.part, self.plan, self.op, &mut s.src, &mut s.dst,
         );
+        dst.copy_from_slice(&s.dst[..dst.len()]);
+        s.count += 1;
+        s.seconds += t.elapsed().as_secs_f64();
     }
 }
 
@@ -352,9 +392,9 @@ fn face_sweep<T: Real, const L: usize>(
 mod tests {
     use super::*;
     use crate::MfParams;
-    use dgflow_comm::{dist_dot, ThreadComm};
+    use dgflow_comm::ThreadComm;
     use dgflow_mesh::{CoarseMesh, TrilinearManifold};
-    use dgflow_solvers::LinearOperator;
+    use dgflow_solvers::{cg_solve, cg_solve_on, IdentityPreconditioner};
     use std::sync::Arc;
 
     fn hanging_forest() -> Forest {
@@ -413,15 +453,16 @@ mod tests {
             let plan = OverlapPlan::build(part, &mf);
             let owned = |c: u32| part.own_cells.contains(&(c as usize));
             let mut seen = std::collections::BTreeSet::new();
-            for &bi in plan.interior_cells.iter().chain(&plan.halo_cells) {
-                assert!(seen.insert(("c", bi)), "cell batch {bi} listed twice");
-                let b = &mf.cell_batches[bi as usize];
-                assert!((0..b.n_filled).any(|l| owned(b.cells[l])));
-            }
-            for &bi in plan.interior_faces.iter().chain(&plan.halo_faces) {
-                assert!(seen.insert(("f", bi)), "face batch {bi} listed twice");
-                let b = &mf.face_batches[bi as usize];
-                assert!((0..b.n_filled).any(|l| owned(b.minus[l])));
+            for p in plan.interior.iter().chain(&plan.halo) {
+                assert!(seen.insert((p.face, p.index)), "batch {p:?} listed twice");
+                let (cells, n) = if p.face {
+                    let b = &mf.face_batches[p.index as usize];
+                    (b.minus, b.n_filled)
+                } else {
+                    let b = &mf.cell_batches[p.index as usize];
+                    (b.cells, b.n_filled)
+                };
+                assert!((0..n).any(|l| owned(cells[l])), "batch {p:?} owns no lane");
             }
             // every relevant batch is covered
             let n_rel_cells = mf
@@ -429,14 +470,16 @@ mod tests {
                 .iter()
                 .filter(|b| (0..b.n_filled).any(|l| owned(b.cells[l])))
                 .count();
-            assert_eq!(
-                plan.interior_cells.len() + plan.halo_cells.len(),
-                n_rel_cells
-            );
+            let n_rel_faces = mf
+                .face_batches
+                .iter()
+                .filter(|b| (0..b.n_filled).any(|l| owned(b.minus[l])))
+                .count();
+            assert_eq!(seen.len(), n_rel_cells + n_rel_faces);
             // interior work exists on every rank of this mesh: the point
             // of the overlap schedule
             assert!(
-                !plan.interior_cells.is_empty(),
+                plan.interior.iter().any(|p| !p.face),
                 "rank {} has no interior cells to overlap",
                 part.rank
             );
@@ -487,52 +530,28 @@ mod tests {
         let rhs = crate::operators::integrate_rhs(&mf, &|x| (x[0] * 3.0).sin() + x[1]);
         // serial reference
         let mut x_ref = vec![0.0; mf.n_dofs()];
-        let r = dgflow_solvers::cg_solve(
-            &op,
-            &dgflow_solvers::IdentityPreconditioner,
-            &rhs,
-            &mut x_ref,
-            1e-10,
-            2000,
-        );
+        let r = cg_solve(&op, &IdentityPreconditioner, &rhs, &mut x_ref, 1e-10, 2000);
         assert!(r.converged);
-        // distributed CG, 3 ranks
+        // the same CG on 3 ranks
         let n_ranks = 3;
         let parts = build_partitions(&forest, &mf, n_ranks);
         let results = ThreadComm::run(n_ranks, |comm| {
             let part = &parts[comm.rank()];
             let plan = OverlapPlan::build(part, &mf);
-            let n_owned = part.n_owned();
-            let n_local = part.n_local();
-            let mut b = vec![0.0; n_local];
-            for c in part.own_cells.clone() {
-                let slot = part.slot(c).unwrap();
-                b[slot * dpc..(slot + 1) * dpc].copy_from_slice(&rhs[c * dpc..(c + 1) * dpc]);
-            }
-            let mut x = vec![0.0; n_local];
-            let mut rvec = b.clone();
-            let mut p = b.clone();
-            let mut ap = Vec::new();
-            let mut rr = dist_dot(comm, &rvec, &rvec, n_owned);
-            for _ in 0..2000 {
-                apply_distributed(comm, part, &plan, &op, &mut p, &mut ap);
-                let pap = dist_dot(comm, &p, &ap, n_owned);
-                let alpha = rr / pap;
-                for i in 0..n_owned {
-                    x[i] += alpha * p[i];
-                    rvec[i] -= alpha * ap[i];
-                }
-                let rr_new = dist_dot(comm, &rvec, &rvec, n_owned);
-                if rr_new.sqrt() <= 1e-10 * rhs.iter().map(|v| v * v).sum::<f64>().sqrt() {
-                    break;
-                }
-                let beta = rr_new / rr;
-                rr = rr_new;
-                for i in 0..n_owned {
-                    p[i] = rvec[i] + beta * p[i];
-                }
-            }
-            (part.own_cells.clone(), x[..n_owned].to_vec())
+            let a = DistributedLaplace::new(comm, part, &plan, &op);
+            let owned = part.own_cells.start * dpc..part.own_cells.end * dpc;
+            let mut x = vec![0.0; part.n_owned()];
+            let r = cg_solve_on(
+                comm,
+                &a,
+                &IdentityPreconditioner,
+                &rhs[owned],
+                &mut x,
+                1e-10,
+                2000,
+            );
+            assert!(r.converged);
+            (part.own_cells.clone(), x)
         });
         for (range, owned) in results {
             for c in range.clone() {

@@ -14,7 +14,9 @@ pub mod vtk;
 
 pub use batch::{CellBatch, FaceBatch, FaceCategory};
 pub use cg_space::{CgLaplaceOperator, CgSpace};
-pub use distributed::{apply_distributed, build_partitions, OverlapPlan, Partition};
+pub use distributed::{
+    apply_distributed, build_partitions, DistributedLaplace, OverlapPlan, Partition,
+};
 pub use geometry::{CellGeometry, FaceGeometry, Mapping};
 pub use matrixfree::{MatrixFree, MfParams};
 pub use operators::{BoundaryCondition, InverseMassOperator, LaplaceOperator, MassOperator};

@@ -88,38 +88,50 @@ impl<T: Real, const L: usize> LaplaceOperator<T, L> {
         integrate_ref(mf, s, false, true);
     }
 
-    /// SIPG kernel of face batch `bi`: reads each side's cells through
-    /// `gather`, applies the flux and hands each side's contributions to
-    /// `scatter`, minus side first. Neumann faces carry no term. Both
-    /// closures get a side's lane cells, the batch fill and the values.
+    /// SIPG kernel of face batch `bi`: gathers each side's lanes from
+    /// `src` through its `gather` table, applies the flux and adds each
+    /// side's contributions to `dst` through its `scatter` table, minus
+    /// side first. A table holds one cell slot of the vectors' layout per
+    /// lane (side 0 minus, side 1 plus); `u32::MAX` lanes read zero and
+    /// write nothing. Neumann faces carry no term.
     pub(crate) fn face_kernel(
         &self,
         bi: usize,
         (sm, sp): &mut (FaceScratch<T, L>, FaceScratch<T, L>),
-        gather: impl Fn(&[u32; L], usize, &mut [Simd<T, L>]),
-        mut scatter: impl FnMut(&[u32; L], usize, &[Simd<T, L>]),
+        gather: [&[u32; L]; 2],
+        scatter: [&[u32; L]; 2],
+        src: &[T],
+        dst: &SharedMut<T>,
     ) {
         let mf = &*self.mf;
+        let dpc = mf.dofs_per_cell;
         let b = &mf.face_batches[bi];
+        let n = b.n_filled;
+        let read = |side: usize, s: &mut FaceScratch<T, L>| {
+            gather_face_cells(gather[side], n, src, dpc, 0, dpc, &mut s.dofs);
+        };
+        let write = |side: usize, s: &FaceScratch<T, L>| {
+            scatter_add_face_cells(scatter[side], n, &s.dofs, dpc, 0, dpc, dst);
+        };
         let cat = b.category;
         if cat.is_boundary {
             if self.bc_of(cat.boundary_id) == BoundaryCondition::Dirichlet {
-                gather(&b.minus, b.n_filled, &mut sm.dofs);
+                read(0, sm);
                 nitsche_boundary_term(mf, bi, sm);
-                scatter(&b.minus, b.n_filled, &sm.dofs);
+                write(0, sm);
             }
             return;
         }
         let (desc_m, desc_p) = (FaceSideDesc::minus(b), FaceSideDesc::plus(b));
-        gather(&b.minus, b.n_filled, &mut sm.dofs);
-        gather(&b.plus, b.n_filled, &mut sp.dofs);
+        read(0, sm);
+        read(1, sp);
         evaluate_face(mf, desc_m, true, sm);
         evaluate_face(mf, desc_p, true, sp);
         interior_face_flux(&mf.face_geometry[bi], sm, sp);
         integrate_face(mf, desc_m, true, sm);
-        scatter(&b.minus, b.n_filled, &sm.dofs);
+        write(0, sm);
         integrate_face(mf, desc_p, true, sp);
-        scatter(&b.plus, b.n_filled, &sp.dofs);
+        write(1, sp);
     }
 
     /// Run the loop with the cell kernel `cell` and the SIPG face kernel.
@@ -147,12 +159,9 @@ impl<T: Real, const L: usize> LaplaceOperator<T, L> {
             (
                 || (FaceScratch::new(mf), FaceScratch::new(mf)),
                 |bi, s, out| {
-                    self.face_kernel(
-                        bi,
-                        s,
-                        |cells, n, v| gather_face_cells(cells, n, src, dpc, 0, dpc, v),
-                        |cells, n, v| scatter_add_face_cells(cells, n, v, dpc, 0, dpc, out),
-                    );
+                    let b = &mf.face_batches[bi];
+                    let sides = [&b.minus, &b.plus];
+                    self.face_kernel(bi, s, sides, sides, src, out);
                 },
             ),
         );

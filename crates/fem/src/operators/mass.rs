@@ -86,13 +86,6 @@ impl<T: Real> InverseMassOperator<T> {
             *d = *s * *iw;
         }
     }
-
-    /// In-place variant.
-    pub fn apply_in_place(&self, v: &mut [T]) {
-        for (x, iw) in v.iter_mut().zip(&self.inv_w) {
-            *x *= *iw;
-        }
-    }
 }
 
 impl<T: Real> dgflow_solvers::Preconditioner<T> for InverseMassOperator<T> {

@@ -288,15 +288,6 @@ impl AirwayTree {
             .max()
             .unwrap_or(0)
     }
-
-    /// Branch count per generation.
-    pub fn generation_histogram(&self) -> Vec<usize> {
-        let mut h = vec![0; self.max_generation() + 1];
-        for b in &self.branches {
-            h[b.generation] += 1;
-        }
-        h
-    }
 }
 
 #[cfg(test)]

@@ -114,11 +114,6 @@ impl SetupCache {
         Self::default()
     }
 
-    /// Number of distinct shape-table entries built so far.
-    pub fn n_shapes(&self) -> usize {
-        self.shapes.lock().len()
-    }
-
     /// Number of distinct geometry samplings built so far.
     pub fn n_mappings(&self) -> usize {
         self.mappings.lock().len()

@@ -116,11 +116,6 @@ impl Manifest {
         }
     }
 
-    /// Index of a case by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.cases.iter().position(|c| c.name == name)
-    }
-
     /// Are all cases completed?
     pub fn all_completed(&self) -> bool {
         self.cases.iter().all(|c| c.status == CaseStatus::Completed)

@@ -43,18 +43,6 @@ impl<T: Real, const LANES: usize> Simd<T, LANES> {
         Simd(out)
     }
 
-    /// Borrow the lanes.
-    #[inline(always)]
-    pub fn as_array(&self) -> &[T; LANES] {
-        &self.0
-    }
-
-    /// Mutably borrow the lanes.
-    #[inline(always)]
-    pub fn as_array_mut(&mut self) -> &mut [T; LANES] {
-        &mut self.0
-    }
-
     /// Fused multiply-add: `self * a + b` lane-wise.
     #[inline(always)]
     pub fn mul_add(self, a: Self, b: Self) -> Self {

@@ -2,8 +2,15 @@
 //! pressure Poisson, viscous, and penalty steps. The termination criterion
 //! matches the paper: the norm of the *unpreconditioned* residual relative
 //! to the right-hand side norm.
+//!
+//! One loop serves one rank and many: [`cg_solve_on`] takes the
+//! [`Communicator`] whose `allreduce_sum` completes every dot product, so
+//! a distributed operator over owned-length vectors runs through the same
+//! recursion as a serial one. [`cg_solve`] is the `SelfComm` case, whose
+//! reductions are the identity.
 
 use crate::traits::{vec_ops, LinearOperator, Preconditioner};
+use dgflow_comm::{Communicator, SelfComm};
 use dgflow_simd::Real;
 
 /// Outcome of a CG solve.
@@ -15,13 +22,13 @@ pub struct CgResult {
     pub relative_residual: f64,
     /// True when the tolerance was met.
     pub converged: bool,
+    /// ‖r‖ after each iteration; entry 0 is the initial residual, so
+    /// there are `iterations + 1` entries.
+    pub residuals: Vec<f64>,
 }
 
-/// Solve `A x = b` by preconditioned CG. `x` carries the initial guess.
-///
-/// Observability: the whole solve runs under a coarse `cg.solve` span
-/// (meta = iterations), each iteration under a fine `cg.iter` span, and
-/// the iteration count feeds the `cg.iterations` histogram.
+/// Solve `A x = b` by preconditioned CG on one rank. `x` carries the
+/// initial guess.
 pub fn cg_solve<T: Real>(
     a: &dyn LinearOperator<T>,
     precond: &dyn Preconditioner<T>,
@@ -30,8 +37,27 @@ pub fn cg_solve<T: Real>(
     rel_tol: f64,
     max_iter: usize,
 ) -> CgResult {
+    cg_solve_on(&SelfComm, a, precond, b, x, rel_tol, max_iter)
+}
+
+/// Solve `A x = b` by preconditioned CG, where the vectors are this
+/// rank's owned blocks and every dot product is summed over `comm`.
+/// `x` carries the initial guess.
+///
+/// Observability: the whole solve runs under a coarse `cg.solve` span
+/// (meta = iterations), each iteration under a fine `cg.iter` span, and
+/// the iteration count feeds the `cg.iterations` histogram.
+pub fn cg_solve_on<T: Real>(
+    comm: &dyn Communicator,
+    a: &dyn LinearOperator<T>,
+    precond: &dyn Preconditioner<T>,
+    b: &[T],
+    x: &mut [T],
+    rel_tol: f64,
+    max_iter: usize,
+) -> CgResult {
     let mut sp = dgflow_trace::span("solver", "cg.solve");
-    let res = cg_solve_inner(a, precond, b, x, rel_tol, max_iter);
+    let res = cg_solve_inner(comm, a, precond, b, x, rel_tol, max_iter);
     sp.set_meta(res.iterations as u64);
     if dgflow_trace::enabled(dgflow_trace::Level::Coarse) {
         iterations_histogram().record(res.iterations as f64);
@@ -47,6 +73,7 @@ fn iterations_histogram() -> &'static std::sync::Arc<dgflow_trace::metrics::Hist
 }
 
 fn cg_solve_inner<T: Real>(
+    comm: &dyn Communicator,
     a: &dyn LinearOperator<T>,
     precond: &dyn Preconditioner<T>,
     b: &[T],
@@ -57,13 +84,18 @@ fn cg_solve_inner<T: Real>(
     let n = b.len();
     assert_eq!(a.len(), n);
     assert_eq!(x.len(), n);
-    let norm_b = vec_ops::norm(b).to_f64();
+    // the local partial sum, completed across ranks (a round trip through
+    // f64 is exact for every `Real`)
+    let dot = |u: &[T], v: &[T]| T::from_f64(comm.allreduce_sum(vec_ops::dot(u, v).to_f64()));
+    let norm = |u: &[T]| dot(u, u).sqrt().to_f64();
+    let norm_b = norm(b);
     if norm_b == 0.0 {
         x.iter_mut().for_each(|v| *v = T::ZERO);
         return CgResult {
             iterations: 0,
             relative_residual: 0.0,
             converged: true,
+            residuals: vec![0.0],
         };
     }
     let mut r = vec![T::ZERO; n];
@@ -75,44 +107,38 @@ fn cg_solve_inner<T: Real>(
     for i in 0..n {
         r[i] = b[i] - r[i];
     }
-    let mut res = vec_ops::norm(&r).to_f64();
-    if res / norm_b <= rel_tol {
-        return CgResult {
-            iterations: 0,
-            relative_residual: res / norm_b,
-            converged: true,
-        };
-    }
-    precond.apply_precond(&r, &mut z);
-    p.copy_from_slice(&z);
-    let mut rz = vec_ops::dot(&r, &z);
+    let mut residuals = vec![norm(&r)];
     let mut iterations = 0;
-    for it in 1..=max_iter {
-        let _it_span = dgflow_trace::span_fine("solver", "cg.iter").meta(it as u64);
-        iterations = it;
-        a.apply(&p, &mut ap);
-        let pap = vec_ops::dot(&p, &ap);
-        let alpha = rz / pap;
-        vec_ops::axpy(alpha, &p, x);
-        vec_ops::axpy(-alpha, &ap, &mut r);
-        res = vec_ops::norm(&r).to_f64();
-        if res / norm_b <= rel_tol {
-            return CgResult {
-                iterations,
-                relative_residual: res / norm_b,
-                converged: true,
-            };
-        }
+    let mut converged = residuals[0] / norm_b <= rel_tol;
+    if !converged {
         precond.apply_precond(&r, &mut z);
-        let rz_new = vec_ops::dot(&r, &z);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        vec_ops::xpby(&z, beta, &mut p);
+        p.copy_from_slice(&z);
+        let mut rz = dot(&r, &z);
+        for it in 1..=max_iter {
+            let _it_span = dgflow_trace::span_fine("solver", "cg.iter").meta(it as u64);
+            iterations = it;
+            a.apply(&p, &mut ap);
+            let alpha = rz / dot(&p, &ap);
+            vec_ops::axpy(alpha, &p, x);
+            vec_ops::axpy(-alpha, &ap, &mut r);
+            let res = norm(&r);
+            residuals.push(res);
+            if res / norm_b <= rel_tol {
+                converged = true;
+                break;
+            }
+            precond.apply_precond(&r, &mut z);
+            let rz_new = dot(&r, &z);
+            let beta = rz_new / rz;
+            rz = rz_new;
+            vec_ops::xpby(&z, beta, &mut p);
+        }
     }
     CgResult {
         iterations,
-        relative_residual: res / norm_b,
-        converged: false,
+        relative_residual: residuals[iterations] / norm_b,
+        converged,
+        residuals,
     }
 }
 
@@ -183,6 +209,27 @@ mod tests {
             pre.iterations,
             plain.iterations
         );
+    }
+
+    #[test]
+    fn residual_history_has_one_entry_per_iteration() {
+        let a = laplace_1d(40);
+        let b: Vec<f64> = (0..40).map(|i| f64::from(i % 3) - 0.5).collect();
+        let norm_b = vec_ops::norm(&b);
+        let mut x = vec![0.0; 40];
+        let jac = JacobiPreconditioner::new(a.diagonal());
+        let res = cg_solve(&a, &jac, &b, &mut x, 1e-10, 200);
+        assert!(res.converged && res.iterations > 0);
+        assert_eq!(res.residuals.len(), res.iterations + 1);
+        // x starts at zero, so the initial residual is b
+        assert_eq!(res.residuals[0], norm_b);
+        assert_eq!(
+            res.residuals[res.iterations] / norm_b,
+            res.relative_residual
+        );
+        // a warm start that already meets the tolerance records only r0
+        let warm = cg_solve(&a, &jac, &b, &mut x, 1e-6, 200);
+        assert_eq!((warm.iterations, warm.residuals.len()), (0, 1));
     }
 
     #[test]

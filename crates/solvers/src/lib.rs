@@ -15,7 +15,7 @@ pub mod jacobi;
 pub mod traits;
 
 pub use amg::{AlgebraicMultigrid, AmgParams};
-pub use cg::{cg_solve, CgResult};
+pub use cg::{cg_solve, cg_solve_on, CgResult};
 pub use chebyshev::ChebyshevSmoother;
 pub use csr::CsrMatrix;
 pub use jacobi::JacobiPreconditioner;

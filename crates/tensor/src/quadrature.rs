@@ -27,11 +27,6 @@ impl QuadratureRule {
         self.points.is_empty()
     }
 
-    /// Points converted to scalar type `T`.
-    pub fn points_as<T: Real>(&self) -> Vec<T> {
-        self.points.iter().map(|&x| T::from_f64(x)).collect()
-    }
-
     /// Weights converted to scalar type `T`.
     pub fn weights_as<T: Real>(&self) -> Vec<T> {
         self.weights.iter().map(|&x| T::from_f64(x)).collect()

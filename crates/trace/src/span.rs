@@ -204,11 +204,6 @@ impl Span {
         self.meta = meta;
     }
 
-    /// Tag/overwrite the work estimate on a live span.
-    pub fn set_work(&mut self, flops: f64) {
-        self.work_flops = flops;
-    }
-
     /// Close the span now and return its duration in seconds: the same
     /// nanoseconds its [`SpanRecord`] carries when tracing is on. Only
     /// spans opened with [`crate::span_timed`] have a start time when

@@ -10,21 +10,26 @@
 //! `examples/dist_poisson.rs` SPMD worker), and on
 //! [`dgflow_comm::SelfComm`] for the serial baseline.
 //!
-//! Determinism contract: the preconditioned-CG recursion reduces partial
-//! sums in *rank order* on every backend (`ThreadComm`'s slot sweep and
+//! The solve is the serial stack's own: `dgflow_solvers::cg_solve_on`
+//! with a Jacobi preconditioner, over the operator adapter
+//! [`DistributedLaplace`].
+//!
+//! Determinism contract: every CG reduction sums the ranks' partials in
+//! *rank order* on every backend (`ThreadComm`'s slot sweep and
 //! `ProcessComm`'s star allreduce accumulate identically), so at a fixed
 //! rank count the residual history is bitwise identical between the two
 //! backends; across rank counts only the partial-sum association changes
 //! and the histories agree to roundoff (asserted at tight relative
 //! tolerance in `tests/dist_invariance.rs`).
 
-use dgflow_comm::{dist_dot, Communicator};
-use dgflow_fem::distributed::{apply_distributed, build_partitions, OverlapPlan, Partition};
+use dgflow_comm::{dist_norm, Communicator};
+use dgflow_fem::distributed::{build_partitions, DistributedLaplace, OverlapPlan};
 use dgflow_fem::operators::integrate_rhs;
 use dgflow_fem::operators::laplace::LaplaceOperator;
 use dgflow_fem::{MatrixFree, MfParams};
 use dgflow_lung::{bifurcation_tree, mesh_airway_tree, MeshParams};
 use dgflow_mesh::{Forest, TrilinearManifold};
+use dgflow_solvers::{cg_solve_on, JacobiPreconditioner};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -115,91 +120,31 @@ pub fn run_poisson(
     tol: f64,
     max_iters: usize,
 ) -> PoissonRun {
-    let parts: Vec<Partition> = build_partitions(&case.forest, &case.mf, comm.size());
+    let parts = build_partitions(&case.forest, &case.mf, comm.size());
     let part = &parts[comm.rank()];
     let plan = OverlapPlan::build(part, &case.mf);
+    let a = DistributedLaplace::new(comm, part, &plan, &case.op);
+    // the owned rows of the (redundantly computed) global vectors
     let dpc = case.mf.dofs_per_cell;
-    let n_owned = part.n_owned();
-    let n_local = part.n_local();
-
-    // scatter owned rows of the (redundantly computed) global vectors
-    let owned_of = |global: &[f64]| -> Vec<f64> {
-        let mut v = vec![0.0; n_local];
-        for c in part.own_cells.clone() {
-            let slot = part.slot(c).expect("own cell has a slot");
-            v[slot * dpc..(slot + 1) * dpc].copy_from_slice(&global[c * dpc..(c + 1) * dpc]);
-        }
-        v
-    };
-    let b = owned_of(&case.rhs);
-    let dinv = owned_of(&case.diag);
+    let owned = part.own_cells.start * dpc..part.own_cells.end * dpc;
+    let jacobi = JacobiPreconditioner::new(case.diag[owned.clone()].to_vec());
 
     let t0 = Instant::now();
-    let mut matvec_s = 0.0;
-    let mut n_matvecs = 0usize;
-    let mut apply = |src: &mut Vec<f64>, dst: &mut Vec<f64>| {
-        let t = Instant::now();
-        apply_distributed(comm, part, &plan, &case.op, src, dst);
-        matvec_s += t.elapsed().as_secs_f64();
-        n_matvecs += 1;
-    };
-
-    // preconditioned CG (z = D⁻¹ r), reductions in rank order
-    let mut x = vec![0.0; n_local];
-    let mut r = b;
-    r.resize(n_local, 0.0);
-    let precondition = |r: &[f64]| -> Vec<f64> {
-        let mut z = vec![0.0; n_local];
-        for i in 0..n_owned {
-            z[i] = r[i] / dinv[i];
-        }
-        z
-    };
-    let mut z = precondition(&r);
-    let mut p = z.clone();
-    let mut ap = Vec::new();
-    let mut rz = dist_dot(comm, &r, &z, n_owned);
-    let r0 = dist_dot(comm, &r, &r, n_owned).sqrt();
-    let mut residuals = vec![r0];
-    let target = tol * r0.max(f64::MIN_POSITIVE);
-    let mut converged = r0 <= target;
-    let mut iters = 0usize;
-    while !converged && iters < max_iters {
-        apply(&mut p, &mut ap);
-        let pap = dist_dot(comm, &p, &ap, n_owned);
-        let alpha = rz / pap;
-        for i in 0..n_owned {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
-        let rnorm = dist_dot(comm, &r, &r, n_owned).sqrt();
-        residuals.push(rnorm);
-        iters += 1;
-        if rnorm <= target {
-            converged = true;
-            break;
-        }
-        z = precondition(&r);
-        let rz_new = dist_dot(comm, &r, &z, n_owned);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for i in 0..n_owned {
-            p[i] = z[i] + beta * p[i];
-        }
-    }
+    let mut x = vec![0.0; part.n_owned()];
+    let res = cg_solve_on(comm, &a, &jacobi, &case.rhs[owned], &mut x, tol, max_iters);
     let solve_s = t0.elapsed().as_secs_f64();
-    let solution_norm = dist_dot(comm, &x, &x, n_owned).sqrt();
+    let (n_matvecs, matvec_s) = a.applies();
     PoissonRun {
-        residuals,
-        iters,
-        converged,
+        residuals: res.residuals,
+        iters: res.iterations,
+        converged: res.converged,
         n_dofs: case.n_dofs(),
-        solution_norm,
+        solution_norm: dist_norm(comm, &x, x.len()),
         solve_s,
         matvec_s,
         n_matvecs,
-        n_owned,
-        x_owned: x[..n_owned].to_vec(),
+        n_owned: x.len(),
+        x_owned: x,
         own_cells: part.own_cells.clone(),
     }
 }
@@ -270,6 +215,7 @@ mod tests {
         );
         assert!(run.solution_norm.is_finite() && run.solution_norm > 0.0);
         assert_eq!(run.residuals.len(), run.iters + 1);
+        assert_eq!(run.n_matvecs, run.iters + 1);
     }
 
     #[test]
