@@ -3,7 +3,8 @@
 //! the continuous (CG) space, in double and single precision; plus the
 //! V-cycle pieces around the level mat-vecs — the level transfers
 //! (`mg_transfer`) and the Chebyshev smoother (`chebyshev_smooth`) of the
-//! f32 k = 3 bifurcation hierarchy.
+//! f32 k = 3 bifurcation hierarchy; and the set-up of two of the contexts
+//! the mat-vecs run on (`setup`).
 //!
 //! Record a trajectory point with
 //! `CRITERION_JSON=$PWD/BENCH_matvec.json cargo bench -p dgflow-bench --bench matvec`
@@ -122,5 +123,22 @@ fn bench_mg(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_matvec, bench_mg);
+/// Set-up of the f64 DG(3) context and the f32 CG(3) space on the lung
+/// geometry of the `matvec` group: the metric terms, and for CG the dof
+/// numbering, constraints and gather plans. Throughput counts the DoFs set
+/// up.
+fn bench_setup(c: &mut Criterion) {
+    let (forest, _) = geometry();
+    let manifold = TrilinearManifold::from_forest(&forest);
+    let mut group = c.benchmark_group("setup");
+    let new_dg = || MatrixFree::<f64, 8>::new(&forest, &manifold, MfParams::dg(3));
+    let new_cg = || CgSpace::<f32, 16>::new(&forest, &manifold, 3);
+    group.throughput(Throughput::Elements(new_dg().n_dofs() as u64));
+    group.bench_function("dg_dp/3", |b| b.iter(new_dg));
+    group.throughput(Throughput::Elements(new_cg().n_dofs as u64));
+    group.bench_function("cg_sp/3", |b| b.iter(new_cg));
+    group.finish();
+}
+
+criterion_group!(benches, bench_matvec, bench_mg, bench_setup);
 criterion_main!(benches);

@@ -17,12 +17,11 @@ use crate::operators::laplace::BoundaryCondition;
 use crate::operators::sipg::{
     boundary_column, cell_column, contract_two_stage, nitsche_boundary_term, nitsche_lifting,
 };
-use crate::util::SharedMut;
+use crate::util::{par_map, IntMap, SharedMut};
 use dgflow_mesh::{Forest, Manifold};
 use dgflow_simd::{Real, Simd};
 use dgflow_solvers::LinearOperator;
 use dgflow_tensor::{LagrangeBasis1D, NodeSet};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Precomputed, batch-transposed constraint gather/scatter plan for one
@@ -71,13 +70,7 @@ pub struct CgSpace<T: Real, const L: usize> {
 impl<T: Real, const L: usize> CgSpace<T, L> {
     /// Build a degree-`degree` continuous space over the forest.
     pub fn new(forest: &Forest, manifold: &dyn Manifold, degree: usize) -> Self {
-        let params = MfParams {
-            degree,
-            n_q: degree + 1,
-            node_set: NodeSet::GaussLobatto,
-            ..MfParams::cg(degree)
-        };
-        let mf = Arc::new(MatrixFree::new(forest, manifold, params));
+        let mf = Arc::new(MatrixFree::new(forest, manifold, MfParams::cg(degree)));
         Self::from_mf(forest, mf)
     }
 
@@ -91,9 +84,17 @@ impl<T: Real, const L: usize> CgSpace<T, L> {
         let n_cells = mf.n_cells;
 
         // ---- geometric dof identification --------------------------------
+        // First appearance in cell-major node order numbers the dofs: a
+        // node joins the first dof within `2 eps` stored under its quantized
+        // key or one of the 26 neighbouring keys (`dz` fastest), else it
+        // opens a new dof. The exact key is probed first. A dof stored under
+        // it is always within `2 eps`, and distinct nodes lie far more than
+        // `4 eps` apart, so at most one dof is ever close and the numbering
+        // is that of the plain 27-key scan.
         let diam = forest.coarse.diameter().max(1e-30);
         let eps = 1e-8 * diam;
-        let mut grid: HashMap<(i64, i64, i64), u32> = HashMap::new();
+        let node_positions = mf.mapping.grid_positions(&nodes);
+        let mut grid: IntMap<(i64, i64, i64), u32> = IntMap::default();
         let mut positions: Vec<[f64; 3]> = Vec::new();
         let mut l2g = vec![0u32; n_cells * dpc];
         let key_of = |p: [f64; 3]| -> (i64, i64, i64) {
@@ -103,49 +104,35 @@ impl<T: Real, const L: usize> CgSpace<T, L> {
                 (p[2] / eps).round() as i64,
             )
         };
-        for c in 0..n_cells {
-            for i2 in 0..n1 {
-                for i1 in 0..n1 {
-                    for i0 in 0..n1 {
-                        let local = i0 + n1 * (i1 + n1 * i2);
-                        let p = mf.mapping.position(c, [nodes[i0], nodes[i1], nodes[i2]]);
-                        let k = key_of(p);
-                        let mut found = None;
-                        'search: for dx in -1i64..=1 {
-                            for dy in -1i64..=1 {
-                                for dz in -1i64..=1 {
-                                    if let Some(&d) = grid.get(&(k.0 + dx, k.1 + dy, k.2 + dz)) {
-                                        let q = positions[d as usize];
-                                        let dist2 = (q[0] - p[0]).powi(2)
-                                            + (q[1] - p[1]).powi(2)
-                                            + (q[2] - p[2]).powi(2);
-                                        if dist2 < (2.0 * eps) * (2.0 * eps) {
-                                            found = Some(d);
-                                            break 'search;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        let dof = match found {
-                            Some(d) => d,
-                            None => {
-                                let d = positions.len() as u32;
-                                positions.push(p);
-                                grid.insert(k, d);
-                                d
-                            }
-                        };
-                        l2g[c * dpc + local] = dof;
-                    }
+        for (dof_slot, &p) in l2g.iter_mut().zip(&node_positions) {
+            let k = key_of(p);
+            let close = |&d: &u32| {
+                let q = positions[d as usize];
+                let dist2 = (q[0] - p[0]).powi(2) + (q[1] - p[1]).powi(2) + (q[2] - p[2]).powi(2);
+                dist2 < (2.0 * eps) * (2.0 * eps)
+            };
+            let found = grid.get(&k).filter(|d| close(d)).or_else(|| {
+                (0..27i64)
+                    .filter(|&i| i != 13)
+                    .map(|i| (k.0 + i / 9 - 1, k.1 + (i / 3) % 3 - 1, k.2 + i % 3 - 1))
+                    .find_map(|key| grid.get(&key).filter(|d| close(d)))
+            });
+            *dof_slot = match found {
+                Some(&d) => d,
+                None => {
+                    let d = positions.len() as u32;
+                    positions.push(p);
+                    grid.insert(k, d);
+                    d
                 }
-            }
+            };
         }
+        drop(node_positions);
         let n_dofs = positions.len();
 
         // ---- hanging-node constraints ------------------------------------
         let basis = LagrangeBasis1D::new(nodes.clone());
-        let mut raw: HashMap<u32, Vec<(u32, f64)>> = HashMap::new();
+        let mut raw: IntMap<u32, Vec<(u32, f64)>> = IntMap::default();
         let local_index = |face: usize, a: usize, b: usize| -> usize {
             let d = face / 2;
             let s = face % 2;
@@ -195,14 +182,14 @@ impl<T: Real, const L: usize> CgSpace<T, L> {
             }
         }
         // resolve constraint chains (slave depending on slave)
-        let mut resolved: HashMap<u32, Vec<(u32, f64)>> = HashMap::new();
+        let mut resolved: IntMap<u32, Vec<(u32, f64)>> = IntMap::default();
         for (&slave, row) in &raw {
             let mut current = row.clone();
             for _ in 0..16 {
                 if !current.iter().any(|&(d, _)| raw.contains_key(&d)) {
                     break;
                 }
-                let mut next: HashMap<u32, f64> = HashMap::new();
+                let mut next: IntMap<u32, f64> = IntMap::default();
                 for &(d, w) in &current {
                     if let Some(sub) = raw.get(&d) {
                         for &(dd, ww) in sub {
@@ -586,30 +573,57 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
     }
 
     /// Walk the columns of every local matrix, the cell blocks first, then
-    /// the Nitsche boundary blocks: `f(cell, j, column, lane)` for each
-    /// filled lane of each column `j`.
-    fn local_columns(&self, mut f: impl FnMut(u32, usize, &[Simd<T, L>], usize)) {
+    /// the Nitsche boundary blocks. Each batch's columns are computed on
+    /// the pool and reduced by `keep(j, column)`; then `f(cell, j, kept,
+    /// lane)` runs serially for each filled lane of each column `j`, in
+    /// batch order, so sums into shared dofs do not depend on the thread
+    /// count.
+    fn local_columns<R: Send>(
+        &self,
+        keep: impl Fn(usize, &[Simd<T, L>]) -> R + Sync,
+        mut f: impl FnMut(u32, usize, &R, usize),
+    ) {
         let mf = &*self.space.mf;
         let dpc = mf.dofs_per_cell;
-        let mut s = CellScratch::<T, L>::new(mf);
-        for (bi, b) in mf.cell_batches.iter().enumerate() {
-            for j in 0..dpc {
-                cell_column(mf, bi, j, &mut s);
-                for l in 0..b.n_filled {
-                    f(b.cells[l], j, &s.dofs, l);
+        let cells = par_map(
+            mf.cell_batches.len(),
+            || CellScratch::<T, L>::new(mf),
+            |s, bi| {
+                (0..dpc)
+                    .map(|j| {
+                        cell_column(mf, bi, j, s);
+                        keep(j, &s.dofs)
+                    })
+                    .collect::<Vec<_>>()
+            },
+        );
+        let faces = par_map(
+            mf.face_batches.len(),
+            || FaceScratch::<T, L>::new(mf),
+            |s, bi| {
+                self.nitsche_plan(bi).map(|_| {
+                    (0..dpc)
+                        .map(|j| {
+                            boundary_column(mf, bi, j, s);
+                            keep(j, &s.dofs)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            },
+        );
+        let mut walk = |lanes: &[u32; L], n_filled: usize, columns: &[R]| {
+            for (j, kept) in columns.iter().enumerate() {
+                for l in 0..n_filled {
+                    f(lanes[l], j, kept, l);
                 }
             }
+        };
+        for (b, columns) in mf.cell_batches.iter().zip(&cells) {
+            walk(&b.cells, b.n_filled, columns);
         }
-        let mut sf = FaceScratch::<T, L>::new(mf);
-        for (bi, b) in mf.face_batches.iter().enumerate() {
-            if self.nitsche_plan(bi).is_none() {
-                continue;
-            }
-            for j in 0..dpc {
-                boundary_column(mf, bi, j, &mut sf);
-                for l in 0..b.n_filled {
-                    f(b.minus[l], j, &sf.dofs, l);
-                }
+        for (b, columns) in mf.face_batches.iter().zip(&faces) {
+            if let Some(columns) = columns {
+                walk(&b.minus, b.n_filled, columns);
             }
         }
     }
@@ -620,14 +634,17 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
         let space = &*self.space;
         let dpc = space.mf.dofs_per_cell;
         let mut diag = vec![T::ZERO; space.n_dofs];
-        self.local_columns(|cell, i, column, l| {
-            let cell = cell as usize;
-            let lo = space.row_ptr[cell * dpc + i] as usize;
-            let hi = space.row_ptr[cell * dpc + i + 1] as usize;
-            for &(d, w) in &space.entries[lo..hi] {
-                diag[d as usize] += w * w * column[i][l];
-            }
-        });
+        self.local_columns(
+            |j, column| column[j],
+            |cell, i, own, l| {
+                let cell = cell as usize;
+                let lo = space.row_ptr[cell * dpc + i] as usize;
+                let hi = space.row_ptr[cell * dpc + i + 1] as usize;
+                for &(d, w) in &space.entries[lo..hi] {
+                    diag[d as usize] += w * w * own[l];
+                }
+            },
+        );
         for (i, &c) in space.constrained.iter().enumerate() {
             if c || diag[i].to_f64() == 0.0 {
                 diag[i] = T::ONE;
@@ -637,32 +654,36 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
     }
 
     /// Assemble the full sparse matrix (coarsest level only — feeds the
-    /// AMG coarse solver). Local cell/boundary-face matrices are computed
-    /// by applying the local kernels to unit vectors, then distributed with
-    /// the constraint weights on both sides.
+    /// AMG coarse solver; it holds every local matrix at once). Local
+    /// cell/boundary-face matrices are computed by applying the local
+    /// kernels to unit vectors, then distributed with the constraint
+    /// weights on both sides.
     pub fn assemble(&self) -> dgflow_solvers::CsrMatrix<T> {
         let space = &*self.space;
         let n = space.n_dofs;
         let dpc = space.mf.dofs_per_cell;
         let mut triplets: Vec<(usize, usize, T)> = Vec::new();
-        self.local_columns(|cell, j_local, column, l| {
-            let cell = cell as usize;
-            let lo_j = space.row_ptr[cell * dpc + j_local] as usize;
-            let hi_j = space.row_ptr[cell * dpc + j_local + 1] as usize;
-            for i_local in 0..dpc {
-                let v = column[i_local][l];
-                if v.to_f64() == 0.0 {
-                    continue;
-                }
-                let lo_i = space.row_ptr[cell * dpc + i_local] as usize;
-                let hi_i = space.row_ptr[cell * dpc + i_local + 1] as usize;
-                for &(di, wi) in &space.entries[lo_i..hi_i] {
-                    for &(dj, wj) in &space.entries[lo_j..hi_j] {
-                        triplets.push((di as usize, dj as usize, wi * v * wj));
+        self.local_columns(
+            |_, column| column.to_vec(),
+            |cell, j_local, column, l| {
+                let cell = cell as usize;
+                let lo_j = space.row_ptr[cell * dpc + j_local] as usize;
+                let hi_j = space.row_ptr[cell * dpc + j_local + 1] as usize;
+                for i_local in 0..dpc {
+                    let v = column[i_local][l];
+                    if v.to_f64() == 0.0 {
+                        continue;
+                    }
+                    let lo_i = space.row_ptr[cell * dpc + i_local] as usize;
+                    let hi_i = space.row_ptr[cell * dpc + i_local + 1] as usize;
+                    for &(di, wi) in &space.entries[lo_i..hi_i] {
+                        for &(dj, wj) in &space.entries[lo_j..hi_j] {
+                            triplets.push((di as usize, dj as usize, wi * v * wj));
+                        }
                     }
                 }
-            }
-        });
+            },
+        );
         // identity rows for constrained dofs
         for (i, &c) in space.constrained.iter().enumerate() {
             if c {
@@ -715,5 +736,90 @@ impl<T: Real, const L: usize> LinearOperator<T> for CgLaplaceOperator<T, L> {
 
     fn diagonal(&self) -> Vec<T> {
         self.compute_diagonal()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dgflow_mesh::{CoarseMesh, TrilinearManifold};
+
+    /// The diagonal as the serial loop computed it before the local
+    /// columns moved to the pool: each column's own entries are summed as
+    /// soon as the column is computed.
+    fn serial_diagonal<T: Real, const L: usize>(op: &CgLaplaceOperator<T, L>) -> Vec<T> {
+        let space = &*op.space;
+        let mf = &*space.mf;
+        let dpc = mf.dofs_per_cell;
+        let mut diag = vec![T::ZERO; space.n_dofs];
+        let mut add = |cell: u32, i: usize, column: &[Simd<T, L>], l: usize| {
+            let cell = cell as usize;
+            let lo = space.row_ptr[cell * dpc + i] as usize;
+            let hi = space.row_ptr[cell * dpc + i + 1] as usize;
+            for &(d, w) in &space.entries[lo..hi] {
+                diag[d as usize] += w * w * column[i][l];
+            }
+        };
+        let mut s = CellScratch::<T, L>::new(mf);
+        for (bi, b) in mf.cell_batches.iter().enumerate() {
+            for j in 0..dpc {
+                cell_column(mf, bi, j, &mut s);
+                for l in 0..b.n_filled {
+                    add(b.cells[l], j, &s.dofs, l);
+                }
+            }
+        }
+        let mut sf = FaceScratch::<T, L>::new(mf);
+        for (bi, b) in mf.face_batches.iter().enumerate() {
+            if op.nitsche_plan(bi).is_none() {
+                continue;
+            }
+            for j in 0..dpc {
+                boundary_column(mf, bi, j, &mut sf);
+                for l in 0..b.n_filled {
+                    add(b.minus[l], j, &sf.dofs, l);
+                }
+            }
+        }
+        for (i, &c) in space.constrained.iter().enumerate() {
+            if c || diag[i].to_f64() == 0.0 {
+                diag[i] = T::ONE;
+            }
+        }
+        diag
+    }
+
+    fn check<T: Real, const L: usize>(forest: &Forest, degree: usize) {
+        let manifold = TrilinearManifold::from_forest(forest);
+        let space = Arc::new(CgSpace::<T, L>::new(forest, &manifold, degree));
+        assert!(space.mf.cell_batches.len() > 2 * crate::util::SETUP_GRAIN);
+        let bcs = [
+            vec![BoundaryCondition::Dirichlet],
+            vec![BoundaryCondition::Neumann],
+        ];
+        for bc in bcs {
+            let op = CgLaplaceOperator::with_bc(space.clone(), bc);
+            let bits = |v: Vec<T>| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(op.compute_diagonal()),
+                bits(serial_diagonal(&op)),
+                "k = {degree}"
+            );
+        }
+    }
+
+    #[test]
+    fn diagonal_matches_serial_loop_bitwise() {
+        let mut forest = Forest::new(CoarseMesh::hyper_cube());
+        forest.refine_global(2);
+        let mut marks = vec![false; forest.n_active()];
+        for c in [0, 9, 27, 50] {
+            marks[c] = true;
+        }
+        forest.refine_active(&marks);
+        for degree in 1..=3 {
+            check::<f64, 2>(&forest, degree);
+            check::<f32, 2>(&forest, degree);
+        }
     }
 }

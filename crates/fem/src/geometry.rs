@@ -2,14 +2,22 @@
 //! terms (the `D_e`, `D_f` data of Eq. (7)).
 //!
 //! Following Heltai et al. (and Sec. 3.3), the exact [`Manifold`] geometry
-//! is sampled once at `(m+1)^3` support points per active cell; Jacobians
-//! at quadrature points are then evaluated from that polynomial interpolant
-//! and stored in SIMD-batch (struct-of-array) layout, which is the data the
-//! operator kernels stream from memory at run time.
+//! is sampled once at `(m+1)^3` support points per active cell. Positions
+//! and Jacobians on any tensor grid of reference points — the volume and
+//! face quadrature points of the metric terms, the CG nodes, the output
+//! lattice — then come from [`MappingGrid`], which contracts the support
+//! points of a SIMD batch of cells with the mapping's 1-D value and
+//! derivative tables by sum factorization (the same [`apply_1d`] sweeps
+//! the operators run). The metric terms are stored in SIMD-batch
+//! (struct-of-array) layout, the data the operator kernels stream from
+//! memory at run time.
 
+use crate::batch::CellBatch;
+use crate::util::par_map;
 use dgflow_mesh::{Forest, Manifold};
 use dgflow_simd::{Real, Simd};
-use dgflow_tensor::{LagrangeBasis1D, NodeSet};
+use dgflow_tensor::sumfac::apply_1d;
+use dgflow_tensor::{DMatrix, LagrangeBasis1D, NodeSet};
 
 /// Polynomial mapping: support points of every active cell.
 pub struct Mapping {
@@ -67,8 +75,26 @@ impl Mapping {
         self.n1 * self.n1 * self.n1
     }
 
-    /// Physical position at reference point `xi` of `cell` (polynomial
-    /// interpolant — agrees with the manifold at the support points).
+    /// Physical positions of every cell on the tensor grid of the 1-D
+    /// reference points `points`: cell-major, lexicographic within a cell,
+    /// evaluated batch by batch on the pool.
+    pub fn grid_positions(&self, points: &[f64]) -> Vec<[f64; 3]> {
+        const L: usize = 8;
+        let grid = MappingGrid::new(self, [points; 3]);
+        let batches = CellBatch::<L>::batch_all(self.points.len() / self.points_per_cell());
+        let per_batch = par_map(batches.len(), GridValues::<L>::default, |v, bi| {
+            let b = &batches[bi];
+            grid.evaluate(&b.cells, b.n_filled, v);
+            (0..b.n_filled)
+                .flat_map(|l| (0..grid.len()).map(move |q| (l, q)))
+                .map(|(l, q)| v.position(q, l))
+                .collect::<Vec<_>>()
+        });
+        per_batch.concat()
+    }
+
+    /// Physical position at reference point `xi` of `cell`, one point at a
+    /// time (the per-point reference of [`MappingGrid`]).
     pub fn position(&self, cell: usize, xi: [f64; 3]) -> [f64; 3] {
         let n1 = self.n1;
         let v0 = self.basis.values_at(xi[0]);
@@ -91,69 +117,8 @@ impl Mapping {
         p
     }
 
-    /// 1-D mapping basis values at `x` (for precomputed evaluation tables).
-    pub fn basis_values(&self, x: f64) -> Vec<f64> {
-        self.basis.values_at(x)
-    }
-
-    /// 1-D mapping basis derivatives at `x`.
-    pub fn basis_derivatives(&self, x: f64) -> Vec<f64> {
-        self.basis.derivatives_at(x)
-    }
-
-    /// Position from precomputed per-axis basis-value tables.
-    pub fn position_with(&self, cell: usize, v: [&[f64]; 3]) -> [f64; 3] {
-        let n1 = self.n1;
-        let base = cell * self.points_per_cell();
-        let mut p = [0.0; 3];
-        for i2 in 0..n1 {
-            for i1 in 0..n1 {
-                let w12 = v[1][i1] * v[2][i2];
-                for i0 in 0..n1 {
-                    let w = v[0][i0] * w12;
-                    let pt = self.points[base + i0 + n1 * (i1 + n1 * i2)];
-                    for d in 0..3 {
-                        p[d] += w * pt[d];
-                    }
-                }
-            }
-        }
-        p
-    }
-
-    /// Jacobian from precomputed per-axis basis tables: `vg[d]` holds the
-    /// (values, derivatives) of the 1-D mapping basis at the point's `d`-th
-    /// coordinate. Avoids the per-call basis evaluation of
-    /// [`Mapping::jacobian`] inside the metric setup loops.
-    pub fn jacobian_with(&self, cell: usize, vg: [(&[f64], &[f64]); 3]) -> [[f64; 3]; 3] {
-        let n1 = self.n1;
-        let base = cell * self.points_per_cell();
-        let mut jac = [[0.0; 3]; 3];
-        for i2 in 0..n1 {
-            for i1 in 0..n1 {
-                for i0 in 0..n1 {
-                    let pt = self.points[base + i0 + n1 * (i1 + n1 * i2)];
-                    let idx = [i0, i1, i2];
-                    for e in 0..3 {
-                        let mut w = 1.0;
-                        for d in 0..3 {
-                            w *= if d == e {
-                                vg[d].1[idx[d]]
-                            } else {
-                                vg[d].0[idx[d]]
-                            };
-                        }
-                        for d in 0..3 {
-                            jac[d][e] += w * pt[d];
-                        }
-                    }
-                }
-            }
-        }
-        jac
-    }
-
-    /// Jacobian `J[d][e] = ∂X_d/∂ξ_e` at reference point `xi` of `cell`.
+    /// Jacobian `J[d][e] = ∂X_d/∂ξ_e` at reference point `xi` of `cell`,
+    /// one point at a time (the per-point reference of [`MappingGrid`]).
     pub fn jacobian(&self, cell: usize, xi: [f64; 3]) -> [[f64; 3]; 3] {
         let n1 = self.n1;
         let v = [
@@ -186,6 +151,144 @@ impl Mapping {
             }
         }
         jac
+    }
+}
+
+/// The mapping's 1-D value and derivative tables on a tensor grid of
+/// reference points: `points[d]` along direction `d`, lexicographic with
+/// direction 0 fastest. A cell grid takes the same points in every
+/// direction; a face grid ([`MappingGrid::face`]) one point at 0 or 1 in
+/// the normal direction.
+pub struct MappingGrid<'a> {
+    mapping: &'a Mapping,
+    /// Points per direction.
+    extents: [usize; 3],
+    values: [DMatrix<f64>; 3],
+    gradients: [DMatrix<f64>; 3],
+}
+
+impl<'a> MappingGrid<'a> {
+    /// Tables of `mapping`'s basis at `points[d]` along each direction `d`.
+    pub fn new(mapping: &'a Mapping, points: [&[f64]; 3]) -> Self {
+        Self {
+            mapping,
+            extents: points.map(<[f64]>::len),
+            values: points.map(|p| mapping.basis.value_matrix(p)),
+            gradients: points.map(|p| mapping.basis.gradient_matrix(p)),
+        }
+    }
+
+    /// Grid on face `face` (normal `face / 2`, at reference coordinate
+    /// `face % 2`), with the points `tangential[0]`, `tangential[1]` along
+    /// its two tangential directions in increasing order, so grid point
+    /// `q1 + n1 * q2` is the face point `(q1, q2)`.
+    pub fn face(mapping: &'a Mapping, face: usize, tangential: [&[f64]; 2]) -> Self {
+        let (d, side) = (face / 2, [(face % 2) as f64]);
+        let (t1, t2) = crate::matrixfree::tangential(d);
+        let mut points = [&side[..]; 3];
+        points[t1] = tangential[0];
+        points[t2] = tangential[1];
+        Self::new(mapping, points)
+    }
+
+    /// Number of grid points.
+    pub(crate) fn len(&self) -> usize {
+        self.extents.iter().product()
+    }
+
+    /// Positions and reference Jacobians of the lane cells `cells[..n_filled]`
+    /// on the grid, into `out` (whose buffers are reused across calls).
+    /// Each component takes nine sweeps that share their partial results:
+    /// `V`, `G` along the first direction; `VV`, `VG`, `GV` along the
+    /// second; the position and the three derivatives along the third. The
+    /// directions go in order of increasing grid extent, so a face grid
+    /// contracts its one normal point first. Lanes past `n_filled` repeat
+    /// lane 0's cell.
+    pub fn evaluate<const L: usize>(
+        &self,
+        cells: &[u32; L],
+        n_filled: usize,
+        out: &mut GridValues<L>,
+    ) {
+        assert!(n_filled >= 1, "a batch has at least one filled lane");
+        let mapping = self.mapping;
+        let n1 = mapping.n1;
+        let ppc = mapping.points_per_cell();
+        let mut order = [0, 1, 2];
+        order.sort_by_key(|&d| self.extents[d]);
+        let [da, db, dc] = order;
+        let e_in = [n1; 3];
+        let mut e_a = e_in;
+        e_a[da] = self.extents[da];
+        let mut e_b = e_a;
+        e_b[db] = self.extents[db];
+        let n = self.len();
+        let resize = |bufs: &mut [Vec<Simd<f64, L>>], len: usize| {
+            for buf in bufs {
+                buf.resize(len, Simd::zero());
+            }
+        };
+        resize(&mut out.support, ppc);
+        resize(&mut out.first, e_a.iter().product());
+        resize(&mut out.second, e_b.iter().product());
+        resize(&mut out.position, n);
+        resize(out.jacobian.as_flattened_mut(), n);
+        let x = &mut out.support;
+        for l in 0..L {
+            let cell = cells[if l < n_filled { l } else { 0 }] as usize;
+            for (i, p) in mapping.points[cell * ppc..(cell + 1) * ppc]
+                .iter()
+                .enumerate()
+            {
+                for d in 0..3 {
+                    x[d][i][l] = p[d];
+                }
+            }
+        }
+        let (v, g) = (&self.values, &self.gradients);
+        let [a, b] = &mut out.first;
+        let [aa, ga, ba] = &mut out.second;
+        for d in 0..3 {
+            let jac = &mut out.jacobian[d];
+            apply_1d(&v[da], &x[d], a, e_in, da, false);
+            apply_1d(&g[da], &x[d], b, e_in, da, false);
+            apply_1d(&v[db], a, aa, e_a, db, false);
+            apply_1d(&g[db], a, ga, e_a, db, false);
+            apply_1d(&v[db], b, ba, e_a, db, false);
+            apply_1d(&v[dc], aa, &mut out.position[d], e_b, dc, false);
+            apply_1d(&g[dc], aa, &mut jac[dc], e_b, dc, false);
+            apply_1d(&v[dc], ga, &mut jac[db], e_b, dc, false);
+            apply_1d(&v[dc], ba, &mut jac[da], e_b, dc, false);
+        }
+    }
+}
+
+/// Positions and reference Jacobians of a batch of `L` cells on a
+/// [`MappingGrid`], component-major: `position[d][q]` and
+/// `jacobian[d][e][q] = ∂X_d/∂ξ_e` at grid point `q`.
+#[derive(Default)]
+pub struct GridValues<const L: usize> {
+    position: [Vec<Simd<f64, L>>; 3],
+    jacobian: [[Vec<Simd<f64, L>>; 3]; 3],
+    /// Support points per component.
+    support: [Vec<Simd<f64, L>>; 3],
+    /// The two first-direction sweeps of one component.
+    first: [Vec<Simd<f64, L>>; 2],
+    /// The three second-direction sweeps of one component.
+    second: [Vec<Simd<f64, L>>; 3],
+}
+
+impl<const L: usize> GridValues<L> {
+    /// Position of lane `l` at grid point `q`.
+    pub fn position(&self, q: usize, l: usize) -> [f64; 3] {
+        self.position.each_ref().map(|p| p[q][l])
+    }
+
+    /// Jacobian of lane `l` at grid point `q`.
+    pub fn jacobian(&self, q: usize, l: usize) -> [[f64; 3]; 3] {
+        self.jacobian
+            .each_ref()
+            .map(|row| row.each_ref().map(|j| j[q][l]))
     }
 }
 

@@ -8,10 +8,11 @@
 //! through the loop of [`crate::loops`].
 
 use crate::batch::{batch_faces, color_face_batches, CellBatch, FaceBatch};
-use crate::geometry::{invert3, CellGeometry, FaceGeometry, Mapping};
+use crate::geometry::{invert3, CellGeometry, FaceGeometry, GridValues, Mapping, MappingGrid};
+use crate::util::par_map;
 use dgflow_mesh::{FaceInfo, Forest, Manifold};
 use dgflow_simd::{Real, Simd};
-use dgflow_tensor::{NodeSet, ShapeInfo1D};
+use dgflow_tensor::{NodeSet, QuadratureRule, ShapeInfo1D};
 use std::sync::Arc;
 
 /// Construction parameters.
@@ -122,181 +123,39 @@ impl<T: Real, const L: usize> MatrixFree<T, L> {
         let face_batches = batch_faces::<L>(&faces);
         let face_colors = color_face_batches(&face_batches, n_cells);
 
-        let n_q = params.n_q;
-        let quad_pts = shape.quad.points.clone();
-        let quad_w = shape.quad.weights.clone();
-
-        // 1-D basis tables of the mapping at the volume quadrature points
-        let map_v: Vec<Vec<f64>> = quad_pts.iter().map(|&x| mapping.basis_values(x)).collect();
-        let map_g: Vec<Vec<f64>> = quad_pts
-            .iter()
-            .map(|&x| mapping.basis_derivatives(x))
-            .collect();
-
-        // --- cell geometry -------------------------------------------------
-        let nq3 = n_q * n_q * n_q;
-        let mut cell_geometry: Vec<CellGeometry<T, L>> = Vec::with_capacity(cell_batches.len());
+        // --- metric terms, batch by batch on the pool -----------------------
+        let quad = &shape.quad;
+        let cell_grid = MappingGrid::new(&mapping, [&quad.points[..]; 3]);
+        let cell_metric = par_map(cell_batches.len(), GridValues::<L>::default, |geo, bi| {
+            cell_metric(&cell_grid, &cell_batches[bi], &quad.weights, geo)
+        });
         let mut cell_volumes = vec![0.0; n_cells];
-        for b in &cell_batches {
-            let mut jinvt = vec![Simd::<T, L>::zero(); nq3 * 9];
-            let mut jxw = vec![Simd::<T, L>::zero(); nq3];
-            let mut positions = vec![Simd::<T, L>::zero(); nq3 * 3];
-            for l in 0..b.n_filled {
-                let cell = b.cells[l] as usize;
-                for q2 in 0..n_q {
-                    for q1 in 0..n_q {
-                        for q0 in 0..n_q {
-                            let q = q0 + n_q * (q1 + n_q * q2);
-                            let jac = mapping.jacobian_with(
-                                cell,
-                                [
-                                    (&map_v[q0], &map_g[q0]),
-                                    (&map_v[q1], &map_g[q1]),
-                                    (&map_v[q2], &map_g[q2]),
-                                ],
-                            );
-                            let (inv, det) = invert3(jac);
-                            assert!(det > 0.0, "inverted element at cell {cell}");
-                            for r in 0..3 {
-                                for c in 0..3 {
-                                    // (J^{-T})_{rc} = (J^{-1})_{cr}
-                                    jinvt[q * 9 + 3 * r + c][l] = T::from_f64(inv[c][r]);
-                                }
-                            }
-                            let w = quad_w[q0] * quad_w[q1] * quad_w[q2];
-                            jxw[q][l] = T::from_f64(det * w);
-                            cell_volumes[cell] += det * w;
-                            let pos =
-                                mapping.position_with(cell, [&map_v[q0], &map_v[q1], &map_v[q2]]);
-                            for d in 0..3 {
-                                positions[q * 3 + d][l] = T::from_f64(pos[d]);
-                            }
-                        }
-                    }
+        let cell_geometry: Vec<CellGeometry<T, L>> = cell_metric
+            .into_iter()
+            .zip(&cell_batches)
+            .map(|((geometry, volumes), b)| {
+                for l in 0..b.n_filled {
+                    cell_volumes[b.cells[l] as usize] = volumes[l];
                 }
-            }
-            cell_geometry.push(CellGeometry {
-                jinvt,
-                jxw,
-                positions,
-            });
-        }
-
-        // --- face geometry -------------------------------------------------
-        let nq2 = n_q * n_q;
+                geometry
+            })
+            .collect();
         let kp1 = (params.degree + 1) as f64;
-        let mut face_geometry: Vec<FaceGeometry<T, L>> = Vec::with_capacity(face_batches.len());
-        for b in &face_batches {
-            let cat = b.category;
-            let dm = (cat.face_minus / 2) as usize;
-            let sm = (cat.face_minus % 2) as usize;
-            let (t1m, t2m) = tangential(dm);
-            let sub = cat.subface();
-            let (c1, c2) = match sub {
-                Some(c) => (f64::from(c & 1), f64::from((c >> 1) & 1)),
-                None => (0.0, 0.0),
-            };
-            let sub_scale = if sub.is_some() { 0.5 } else { 1.0 };
-            let orient = cat.orient();
-            let dp = (cat.face_plus / 2) as usize;
-            let sp = (cat.face_plus % 2) as usize;
-            let (t1p, t2p) = tangential(dp);
-
-            let mut g_minus = vec![Simd::<T, L>::zero(); nq2 * 3];
-            let mut g_plus = if cat.is_boundary {
-                Vec::new()
-            } else {
-                vec![Simd::<T, L>::zero(); nq2 * 3]
-            };
-            let mut normal = vec![Simd::<T, L>::zero(); nq2 * 3];
-            let mut jxw = vec![Simd::<T, L>::zero(); nq2];
-            let mut positions = vec![Simd::<T, L>::zero(); nq2 * 3];
-            let mut sigma = Simd::<T, L>::zero();
-            let mut areas = [0.0; L];
-
-            for l in 0..b.n_filled {
-                let minus = b.minus[l] as usize;
-                for q2 in 0..n_q {
-                    for q1 in 0..n_q {
-                        let q = q1 + n_q * q2;
-                        // minus ref coords (subface-scaled on hanging faces)
-                        let mut xi = [0.0; 3];
-                        xi[dm] = sm as f64;
-                        xi[t1m] = sub_scale * (quad_pts[q1] + c1);
-                        xi[t2m] = sub_scale * (quad_pts[q2] + c2);
-                        let jac = mapping.jacobian(minus, xi);
-                        let (inv, det) = invert3(jac);
-                        // cofactor direction: det * J^{-T} e_d = det * row d
-                        // of J^{-1}
-                        let mut cof = [0.0; 3];
-                        for i in 0..3 {
-                            cof[i] = det * inv[dm][i];
-                        }
-                        let norm = (cof[0] * cof[0] + cof[1] * cof[1] + cof[2] * cof[2]).sqrt();
-                        let sign = if sm == 0 { -1.0 } else { 1.0 };
-                        let n_vec = [
-                            sign * cof[0] / norm,
-                            sign * cof[1] / norm,
-                            sign * cof[2] / norm,
-                        ];
-                        let da = norm * sub_scale * sub_scale;
-                        let w = quad_w[q1] * quad_w[q2];
-                        jxw[q][l] = T::from_f64(da * w);
-                        areas[l] += da * w;
-                        let pos = mapping.position(minus, xi);
-                        for d in 0..3 {
-                            positions[q * 3 + d][l] = T::from_f64(pos[d]);
-                        }
-                        for d in 0..3 {
-                            normal[q * 3 + d][l] = T::from_f64(n_vec[d]);
-                            // g = J^{-1} n
-                            let mut g = 0.0;
-                            for j in 0..3 {
-                                g += inv[d][j] * n_vec[j];
-                            }
-                            g_minus[q * 3 + d][l] = T::from_f64(g);
-                        }
-                        if !cat.is_boundary {
-                            let plus = b.plus[l] as usize;
-                            // plus ref coords via the index permutation on
-                            // the symmetric quadrature grid
-                            let (p1, p2) = orient.map_index(q1, q2, n_q, n_q);
-                            let mut xp = [0.0; 3];
-                            xp[dp] = sp as f64;
-                            xp[t1p] = quad_pts[p1];
-                            xp[t2p] = quad_pts[p2];
-                            let jac_p = mapping.jacobian(plus, xp);
-                            let (inv_p, det_p) = invert3(jac_p);
-                            assert!(det_p > 0.0);
-                            for d in 0..3 {
-                                let mut g = 0.0;
-                                for j in 0..3 {
-                                    g += inv_p[d][j] * n_vec[j];
-                                }
-                                g_plus[q * 3 + d][l] = T::from_f64(g);
-                            }
-                        }
-                    }
-                }
-            }
-            // penalty: (k+1)^2 * max over sides of A_f / V, as in ExaDG
-            for l in 0..b.n_filled {
-                let a = areas[l];
-                let mut s = a / cell_volumes[b.minus[l] as usize];
-                if !cat.is_boundary {
-                    s = s.max(a / cell_volumes[b.plus[l] as usize]);
-                }
-                sigma[l] = T::from_f64(params.penalty_factor * kp1 * kp1 * s);
-            }
-            face_geometry.push(FaceGeometry {
-                g_minus,
-                g_plus,
-                normal,
-                jxw,
-                positions,
-                sigma,
-            });
-        }
+        let penalty = params.penalty_factor * kp1 * kp1;
+        let face_geometry = par_map(
+            face_batches.len(),
+            <[GridValues<L>; 2]>::default,
+            |geo, bi| {
+                face_metric(
+                    &mapping,
+                    &face_batches[bi],
+                    quad,
+                    &cell_volumes,
+                    penalty,
+                    geo,
+                )
+            },
+        );
 
         Self {
             params,
@@ -334,6 +193,164 @@ impl<T: Real, const L: usize> MatrixFree<T, L> {
     /// DoFs per direction.
     pub fn n_1d(&self) -> usize {
         self.params.degree + 1
+    }
+}
+
+/// Metric terms of one cell batch at the tensor quadrature points of
+/// `grid`, and the volume of each filled lane's cell.
+fn cell_metric<T: Real, const L: usize>(
+    grid: &MappingGrid,
+    b: &CellBatch<L>,
+    quad_w: &[f64],
+    geo: &mut GridValues<L>,
+) -> (CellGeometry<T, L>, [f64; L]) {
+    grid.evaluate(&b.cells, b.n_filled, geo);
+    let n_q = quad_w.len();
+    let nq3 = grid.len();
+    let mut jinvt = vec![Simd::<T, L>::zero(); nq3 * 9];
+    let mut jxw = vec![Simd::<T, L>::zero(); nq3];
+    let mut positions = vec![Simd::<T, L>::zero(); nq3 * 3];
+    let mut volumes = [0.0; L];
+    for l in 0..b.n_filled {
+        for q in 0..nq3 {
+            let (q0, q1, q2) = (q % n_q, (q / n_q) % n_q, q / (n_q * n_q));
+            let (inv, det) = invert3(geo.jacobian(q, l));
+            assert!(det > 0.0, "inverted element at cell {}", b.cells[l]);
+            for r in 0..3 {
+                for c in 0..3 {
+                    // (J^{-T})_{rc} = (J^{-1})_{cr}
+                    jinvt[q * 9 + 3 * r + c][l] = T::from_f64(inv[c][r]);
+                }
+            }
+            let w = quad_w[q0] * quad_w[q1] * quad_w[q2];
+            jxw[q][l] = T::from_f64(det * w);
+            volumes[l] += det * w;
+            let pos = geo.position(q, l);
+            for d in 0..3 {
+                positions[q * 3 + d][l] = T::from_f64(pos[d]);
+            }
+        }
+    }
+    let geometry = CellGeometry {
+        jinvt,
+        jxw,
+        positions,
+    };
+    (geometry, volumes)
+}
+
+/// Metric terms of one face batch at the tensor Gauss points of the
+/// minus side (restricted to the sub-face on hanging faces); `penalty`
+/// multiplies the larger area-to-volume ratio of the two sides.
+fn face_metric<T: Real, const L: usize>(
+    mapping: &Mapping,
+    b: &FaceBatch<L>,
+    quad: &QuadratureRule,
+    cell_volumes: &[f64],
+    penalty: f64,
+    [geo_m, geo_p]: &mut [GridValues<L>; 2],
+) -> FaceGeometry<T, L> {
+    let (quad_pts, quad_w) = (&quad.points[..], &quad.weights[..]);
+    let n_q = quad_pts.len();
+    let nq2 = n_q * n_q;
+    let cat = b.category;
+    let dm = (cat.face_minus / 2) as usize;
+    let sm = (cat.face_minus % 2) as usize;
+    let sub = cat.subface();
+    let (c1, c2) = match sub {
+        Some(c) => (f64::from(c & 1), f64::from((c >> 1) & 1)),
+        None => (0.0, 0.0),
+    };
+    let sub_scale = if sub.is_some() { 0.5 } else { 1.0 };
+    let orient = cat.orient();
+    // minus ref coords (subface-scaled on hanging faces)
+    let t1: Vec<f64> = quad_pts.iter().map(|&x| sub_scale * (x + c1)).collect();
+    let t2: Vec<f64> = quad_pts.iter().map(|&x| sub_scale * (x + c2)).collect();
+    MappingGrid::face(mapping, cat.face_minus as usize, [&t1, &t2])
+        .evaluate(&b.minus, b.n_filled, geo_m);
+    // the plus side on its own face grid, read through the index
+    // permutation on the symmetric quadrature grid
+    if !cat.is_boundary {
+        MappingGrid::face(mapping, cat.face_plus as usize, [quad_pts; 2])
+            .evaluate(&b.plus, b.n_filled, geo_p);
+    }
+
+    let mut g_minus = vec![Simd::<T, L>::zero(); nq2 * 3];
+    let mut g_plus = if cat.is_boundary {
+        Vec::new()
+    } else {
+        vec![Simd::<T, L>::zero(); nq2 * 3]
+    };
+    let mut normal = vec![Simd::<T, L>::zero(); nq2 * 3];
+    let mut jxw = vec![Simd::<T, L>::zero(); nq2];
+    let mut positions = vec![Simd::<T, L>::zero(); nq2 * 3];
+    let mut sigma = Simd::<T, L>::zero();
+    let mut areas = [0.0; L];
+    for l in 0..b.n_filled {
+        for q2 in 0..n_q {
+            for q1 in 0..n_q {
+                let q = q1 + n_q * q2;
+                let (inv, det) = invert3(geo_m.jacobian(q, l));
+                // cofactor direction: det * J^{-T} e_d = det * row d of J^{-1}
+                let mut cof = [0.0; 3];
+                for i in 0..3 {
+                    cof[i] = det * inv[dm][i];
+                }
+                let norm = (cof[0] * cof[0] + cof[1] * cof[1] + cof[2] * cof[2]).sqrt();
+                let sign = if sm == 0 { -1.0 } else { 1.0 };
+                let n_vec = [
+                    sign * cof[0] / norm,
+                    sign * cof[1] / norm,
+                    sign * cof[2] / norm,
+                ];
+                let da = norm * sub_scale * sub_scale;
+                let w = quad_w[q1] * quad_w[q2];
+                jxw[q][l] = T::from_f64(da * w);
+                areas[l] += da * w;
+                let pos = geo_m.position(q, l);
+                for d in 0..3 {
+                    positions[q * 3 + d][l] = T::from_f64(pos[d]);
+                }
+                for d in 0..3 {
+                    normal[q * 3 + d][l] = T::from_f64(n_vec[d]);
+                    // g = J^{-1} n
+                    let mut g = 0.0;
+                    for j in 0..3 {
+                        g += inv[d][j] * n_vec[j];
+                    }
+                    g_minus[q * 3 + d][l] = T::from_f64(g);
+                }
+                if !cat.is_boundary {
+                    let (p1, p2) = orient.map_index(q1, q2, n_q, n_q);
+                    let (inv_p, det_p) = invert3(geo_p.jacobian(p1 + n_q * p2, l));
+                    assert!(det_p > 0.0);
+                    for d in 0..3 {
+                        let mut g = 0.0;
+                        for j in 0..3 {
+                            g += inv_p[d][j] * n_vec[j];
+                        }
+                        g_plus[q * 3 + d][l] = T::from_f64(g);
+                    }
+                }
+            }
+        }
+    }
+    // penalty: (k+1)^2 * max over sides of A_f / V, as in ExaDG
+    for l in 0..b.n_filled {
+        let a = areas[l];
+        let mut s = a / cell_volumes[b.minus[l] as usize];
+        if !cat.is_boundary {
+            s = s.max(a / cell_volumes[b.plus[l] as usize]);
+        }
+        sigma[l] = T::from_f64(penalty * s);
+    }
+    FaceGeometry {
+        g_minus,
+        g_plus,
+        normal,
+        jxw,
+        positions,
+        sigma,
     }
 }
 

@@ -62,21 +62,11 @@ pub fn interpolate_nodal<T: Real, const L: usize>(
     mf: &MatrixFree<T, L>,
     f: &(dyn Fn([f64; 3]) -> f64 + Sync),
 ) -> Vec<T> {
-    let n1 = mf.n_1d();
-    let nodes = &mf.shape.nodes;
-    let dpc = mf.dofs_per_cell;
-    let mut v = vec![T::ZERO; mf.n_dofs()];
-    for c in 0..mf.n_cells {
-        for i2 in 0..n1 {
-            for i1 in 0..n1 {
-                for i0 in 0..n1 {
-                    let p = mf.mapping.position(c, [nodes[i0], nodes[i1], nodes[i2]]);
-                    v[c * dpc + i0 + n1 * (i1 + n1 * i2)] = T::from_f64(f(p));
-                }
-            }
-        }
-    }
-    v
+    mf.mapping
+        .grid_positions(&mf.shape.nodes)
+        .into_iter()
+        .map(|p| T::from_f64(f(p)))
+        .collect()
 }
 
 /// Quadrature L² norm of a DG field.

@@ -117,6 +117,58 @@ impl<T> SharedMut<T> {
     }
 }
 
+/// Batch grain of the parallel set-up loops (metric terms, CG node
+/// positions, CG diagonals): the fewest cell or face batches one pool task
+/// gets, so the small meshes of tests and coarse levels stay on the
+/// calling thread.
+pub(crate) const SETUP_GRAIN: usize = 16;
+
+/// `(0..n).map(|i| f(&mut scratch, i))` on the global pool, in chunks of at
+/// least [`SETUP_GRAIN`] items with one `scratch()` per chunk. Each item is
+/// computed on its own, so the result does not depend on the thread count
+/// or the chunking.
+pub(crate) fn par_map<S, R: Send>(
+    n: usize,
+    scratch: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize) -> R + Sync,
+) -> Vec<R> {
+    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    dgflow_comm::parallel_chunks_mut([&mut out], SETUP_GRAIN, |offset, [part]| {
+        let mut s = scratch();
+        for (i, o) in part.iter_mut().enumerate() {
+            *o = Some(f(&mut s, offset + i));
+        }
+    });
+    out.into_iter()
+        .map(|o| o.expect("every item is mapped"))
+        .collect()
+}
+
+/// The multiply-rotate hash of rustc (`FxHasher`) for small integer keys:
+/// a few cycles per word where the default SipHash spends tens, and
+/// unseeded, so a map keyed by it iterates in the same order in every run.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct IntHasher(u64);
+
+impl std::hash::Hasher for IntHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for word in bytes.chunks(8) {
+            let mut w = [0; 8];
+            w[..word.len()].copy_from_slice(word);
+            let v = u64::from_le_bytes(w);
+            self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+        }
+    }
+}
+
+/// A `HashMap` hashed by [`IntHasher`].
+pub(crate) type IntMap<K, V> =
+    std::collections::HashMap<K, V, std::hash::BuildHasherDefault<IntHasher>>;
+
 #[cfg(test)]
 mod tests {
     use super::*;

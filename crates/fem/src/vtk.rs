@@ -29,22 +29,14 @@ pub fn write_vtk<T: Real, const L: usize>(
     let k = n1 - 1;
     let dpc = mf.dofs_per_cell;
     let n_cells = mf.n_cells;
-    let nodes = &mf.shape.nodes;
     writeln!(out, "# vtk DataFile Version 3.0")?;
     writeln!(out, "dgflow DG field export")?;
     writeln!(out, "ASCII")?;
     writeln!(out, "DATASET UNSTRUCTURED_GRID")?;
     // points: per-cell nodal lattice (duplicated across cells — DG!)
     writeln!(out, "POINTS {} double", n_cells * dpc)?;
-    for c in 0..n_cells {
-        for i2 in 0..n1 {
-            for i1 in 0..n1 {
-                for i0 in 0..n1 {
-                    let p = mf.mapping.position(c, [nodes[i0], nodes[i1], nodes[i2]]);
-                    writeln!(out, "{} {} {}", p[0], p[1], p[2])?;
-                }
-            }
-        }
+    for p in mf.mapping.grid_positions(&mf.shape.nodes) {
+        writeln!(out, "{} {} {}", p[0], p[1], p[2])?;
     }
     // sub-hex connectivity
     let subs_per_cell = k * k * k;

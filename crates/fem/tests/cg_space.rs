@@ -229,3 +229,111 @@ fn assembled_matrix_matches_operator() {
         assert!((y1[i] - y2[i]).abs() < 1e-12);
     }
 }
+
+/// The hanging-node cube under a smooth non-affine displacement.
+struct Warped(TrilinearManifold);
+
+impl dgflow_mesh::Manifold for Warped {
+    fn position(&self, tree: usize, xi: [f64; 3]) -> [f64; 3] {
+        let p = self.0.position(tree, xi);
+        let w = |x: f64| 0.04 * (2.0 * std::f64::consts::PI * x).sin();
+        [p[0] + w(p[1]), p[1] + w(p[2]), p[2] + w(p[0])]
+    }
+}
+
+fn curved_hanging(degree: usize) -> (Forest, Space) {
+    let mut forest = Forest::new(CoarseMesh::hyper_cube());
+    forest.refine_global(1);
+    let mut marks = vec![false; 8];
+    marks[0] = true;
+    marks[5] = true;
+    forest.refine_active(&marks);
+    let manifold = Warped(TrilinearManifold::from_forest(&forest));
+    let space = Arc::new(CgSpace::new(&forest, &manifold, degree));
+    (forest, space)
+}
+
+/// First-appearance numbering by an O(n²) distance search over the
+/// per-point node positions, and the constrained flags it implies: a node
+/// on the fine side of a hanging face is constrained unless it coincides
+/// with a node of the coarse side.
+fn brute_force_numbering(forest: &Forest, space: &CgSpace<f64, 4>) -> (Vec<u32>, Vec<bool>) {
+    let mf = &space.mf;
+    let n1 = mf.n_1d();
+    let dpc = mf.dofs_per_cell;
+    let nodes = dgflow_tensor::NodeSet::GaussLobatto.nodes(n1 - 1);
+    let tol = 2e-8 * forest.coarse.diameter();
+    let close = |p: [f64; 3], q: [f64; 3]| {
+        (p[0] - q[0]).powi(2) + (p[1] - q[1]).powi(2) + (p[2] - q[2]).powi(2) < tol * tol
+    };
+    let mut dofs: Vec<[f64; 3]> = Vec::new();
+    let mut l2g = Vec::with_capacity(mf.n_cells * dpc);
+    for c in 0..mf.n_cells {
+        for i in 0..dpc {
+            let xi = [nodes[i % n1], nodes[(i / n1) % n1], nodes[i / (n1 * n1)]];
+            let p = mf.mapping.position(c, xi);
+            let dof = dofs.iter().position(|&q| close(p, q)).unwrap_or_else(|| {
+                dofs.push(p);
+                dofs.len() - 1
+            });
+            l2g.push(dof as u32);
+        }
+    }
+    let l2g_ref = &l2g;
+    let face_nodes = |cell: usize, face: usize| {
+        (0..dpc)
+            .filter(move |&i| {
+                let idx = [i % n1, (i / n1) % n1, i / (n1 * n1)];
+                idx[face / 2] == (face % 2) * (n1 - 1)
+            })
+            .map(move |i| l2g_ref[cell * dpc + i])
+    };
+    let mut constrained = vec![false; dofs.len()];
+    for f in mf.faces.iter().filter(|f| f.subface.is_some()) {
+        let plus = f.plus.expect("hanging faces are interior") as usize;
+        let coarse: Vec<[f64; 3]> = face_nodes(f.minus as usize, f.face_minus as usize)
+            .map(|d| dofs[d as usize])
+            .collect();
+        for d in face_nodes(plus, f.face_plus as usize) {
+            if !coarse.iter().any(|&q| close(dofs[d as usize], q)) {
+                constrained[d as usize] = true;
+            }
+        }
+    }
+    (l2g, constrained)
+}
+
+#[test]
+fn numbering_matches_brute_force_on_curved_hanging_mesh() {
+    for degree in 1..=3 {
+        let (forest, space) = curved_hanging(degree);
+        let (l2g, constrained) = brute_force_numbering(&forest, &space);
+        assert_eq!(space.l2g, l2g, "k = {degree}: l2g");
+        assert_eq!(space.n_dofs, constrained.len(), "k = {degree}: n_dofs");
+        assert_eq!(space.constrained, constrained, "k = {degree}: constrained");
+        assert!(
+            constrained.iter().any(|&c| c),
+            "k = {degree}: no constraint"
+        );
+        // unconstrained rows are the identity on the brute-force dof; the
+        // others reference only free dofs and reproduce constants
+        let dpc = space.mf.dofs_per_cell;
+        for (i, &dof) in l2g.iter().enumerate() {
+            let row = &space.entries[space.row_ptr[i] as usize..space.row_ptr[i + 1] as usize];
+            if constrained[dof as usize] {
+                assert!(row.iter().all(|&(d, _)| !constrained[d as usize]));
+                let sum: f64 = row.iter().map(|&(_, w)| w).sum();
+                assert!((sum - 1.0).abs() < 1e-12, "cell {}: row sum {sum}", i / dpc);
+            } else {
+                assert_eq!(row, [(dof, 1.0)], "cell {}: node {}", i / dpc, i % dpc);
+            }
+        }
+        // and a second build gives the same bits
+        let (_, again) = curved_hanging(degree);
+        assert_eq!(space.row_ptr, again.row_ptr);
+        let bits = |s: &CgSpace<f64, 4>| -> Vec<(u32, u64)> {
+            s.entries.iter().map(|&(d, w)| (d, w.to_bits())).collect()
+        };
+        assert_eq!(bits(&space), bits(&again), "k = {degree}: entries");
+    }
+}

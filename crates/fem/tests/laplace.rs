@@ -3,7 +3,7 @@
 
 use dgflow_fem::operators::{integrate_rhs, interpolate, l2_error};
 use dgflow_fem::{BoundaryCondition, LaplaceOperator, MatrixFree, MfParams};
-use dgflow_mesh::{CoarseMesh, Forest, TrilinearManifold};
+use dgflow_mesh::{CoarseMesh, Forest, Manifold, TrilinearManifold};
 use dgflow_simd::Real;
 use dgflow_solvers::{cg_solve, IdentityPreconditioner, JacobiPreconditioner, LinearOperator};
 
@@ -242,6 +242,59 @@ fn poisson_h_convergence_rate_is_k_plus_1() {
     for degree in [2usize, 3] {
         let e1 = solve_poisson(&cube_forest(1), degree);
         let e2 = solve_poisson(&cube_forest(2), degree);
+        let rate = (e1 / e2).log2();
+        assert!(
+            rate > degree as f64 + 0.6,
+            "degree {degree}: rate {rate:.2} (errors {e1:.3e} → {e2:.3e})"
+        );
+    }
+}
+
+/// The unit cube under a smooth non-affine map that keeps its boundary:
+/// every point moves by the same interior bump along `(1, 1, 1)`.
+struct BumpedCube(TrilinearManifold);
+
+impl Manifold for BumpedCube {
+    fn position(&self, tree: usize, xi: [f64; 3]) -> [f64; 3] {
+        use std::f64::consts::PI;
+        let p = self.0.position(tree, xi);
+        let bump = 0.06 * (PI * p[0]).sin() * (PI * p[1]).sin() * (PI * p[2]).sin();
+        p.map(|x| x + bump)
+    }
+}
+
+/// L² error of the SIPG Poisson solve on `cube_forest(refine)` under
+/// [`BumpedCube`], with a cubic mapping.
+fn solve_curved_poisson(refine: usize, degree: usize) -> f64 {
+    use std::f64::consts::PI;
+    let forest = cube_forest(refine);
+    let manifold = BumpedCube(TrilinearManifold::from_forest(&forest));
+    let params = MfParams {
+        mapping_degree: 3,
+        ..MfParams::dg(degree)
+    };
+    let mf = std::sync::Arc::new(MatrixFree::<f64, 4>::new(&forest, &manifold, params));
+    let lap = LaplaceOperator::new(mf.clone());
+    let exact = |x: [f64; 3]| (PI * x[0]).sin() * (PI * x[1]).sin() * (PI * x[2]).sin();
+    let f = move |x: [f64; 3]| 3.0 * PI * PI * exact(x);
+    let mut rhs = integrate_rhs(&mf, &f);
+    for (r, b) in rhs.iter_mut().zip(&lap.boundary_rhs(&exact)) {
+        *r += *b;
+    }
+    let pre = JacobiPreconditioner::new(lap.compute_diagonal());
+    let mut u = vec![0.0; mf.n_dofs()];
+    let res = cg_solve(&lap, &pre, &rhs, &mut u, 1e-11, 2000);
+    assert!(res.converged, "CG did not converge: {res:?}");
+    l2_error(&mf, &u, &exact)
+}
+
+/// The curved metric terms at design order: the same rate as on the
+/// affine cube.
+#[test]
+fn poisson_h_convergence_rate_on_curved_cube_is_k_plus_1() {
+    for degree in [2usize, 3] {
+        let e1 = solve_curved_poisson(1, degree);
+        let e2 = solve_curved_poisson(2, degree);
         let rate = (e1 / e2).log2();
         assert!(
             rate > degree as f64 + 0.6,

@@ -8,7 +8,7 @@ use crate::transfer::Transfer;
 use dgflow_comm::{parallel_chunks_mut, PAR_GRAIN};
 use dgflow_fem::cg_space::{CgLaplaceOperator, CgSpace};
 use dgflow_fem::operators::laplace::BoundaryCondition;
-use dgflow_fem::{LaplaceOperator, MatrixFree, MfParams};
+use dgflow_fem::{LaplaceOperator, Mapping, MatrixFree, MfParams};
 use dgflow_mesh::{Forest, Manifold};
 use dgflow_simd::Real;
 use dgflow_solvers::{
@@ -116,12 +116,23 @@ impl<T: Real, const L: usize> HybridMultigrid<T, L> {
     ) -> Self {
         let mut levels: Vec<MgLevel<T, L>> = Vec::new();
 
+        // one geometry sampling per mapping degree on the fine forest,
+        // shared by DG(k) and the CG p-levels
+        let mut mappings: Vec<Arc<Mapping>> = Vec::new();
+        let mut fine_mf = |params: MfParams| {
+            let mapping = match mappings.iter().find(|m| m.degree == params.mapping_degree) {
+                Some(m) => m.clone(),
+                None => {
+                    let m = Arc::new(Mapping::build(forest, manifold, params.mapping_degree));
+                    mappings.push(m.clone());
+                    m
+                }
+            };
+            Arc::new(MatrixFree::<T, L>::with_mapping(forest, mapping, params))
+        };
+
         // finest: DG(k)
-        let mf_dg = Arc::new(MatrixFree::<T, L>::new(
-            forest,
-            manifold,
-            MfParams::dg(degree),
-        ));
+        let mf_dg = fine_mf(MfParams::dg(degree));
         let dg_op = LaplaceOperator::with_bc(mf_dg.clone(), bc.clone());
 
         // CG degree sequence: k, k/2, ..., 1 on the fine forest
@@ -131,7 +142,7 @@ impl<T: Real, const L: usize> HybridMultigrid<T, L> {
         }
         let cg_spaces: Vec<Arc<CgSpace<T, L>>> = degrees
             .iter()
-            .map(|&k| Arc::new(CgSpace::new(forest, manifold, k)))
+            .map(|&k| Arc::new(CgSpace::from_mf(forest, fine_mf(MfParams::cg(k)))))
             .collect();
 
         // geometric coarsening sequence (degree 1)
