@@ -23,7 +23,6 @@ fn bp3_throughput(refine: usize, k: usize) -> (usize, f64) {
         n_q: k + 2, // BP3 overintegration
         node_set: NodeSet::GaussLobatto,
         mapping_degree: 1,
-        penalty_factor: 1.0,
     };
     let mf = Arc::new(MatrixFree::<f64, 8>::new(&forest, &manifold, params));
     let space = Arc::new(CgSpace::from_mf(&forest, mf));

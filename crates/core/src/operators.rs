@@ -15,6 +15,7 @@ use dgflow_fem::util::SharedMut;
 use dgflow_fem::{LaplaceOperator, MatrixFree};
 use dgflow_simd::{Real, Simd};
 use dgflow_solvers::LinearOperator;
+use std::sync::Arc;
 
 /// Velocity stride per cell.
 fn ustride<T: Real, const L: usize>(mf: &MatrixFree<T, L>) -> usize {
@@ -163,7 +164,7 @@ pub fn divergence<T: Real, const L: usize>(
     let stride = ustride(mf_u);
     let nq3 = mf_u.n_q().pow(3);
     let nq2 = mf_u.n_q() * mf_u.n_q();
-    assert_eq!(mf_u.n_q(), mf_p.n_q(), "shared quadrature required");
+    assert!(Arc::ptr_eq(&mf_u.geometry, &mf_p.geometry));
     type CellBufs<T, const L: usize> =
         (CellScratch<T, L>, CellScratch<T, L>, [Vec<Simd<T, L>>; DIM]);
     let cell = |bi: usize, (su, sq, uq): &mut CellBufs<T, L>, out: &SharedMut<T>| {
@@ -287,6 +288,7 @@ pub fn gradient<T: Real, const L: usize>(
     let stride = ustride(mf_u);
     let nq3 = mf_u.n_q().pow(3);
     let nq2 = mf_u.n_q() * mf_u.n_q();
+    assert!(Arc::ptr_eq(&mf_u.geometry, &mf_p.geometry));
     type CellBufs<T, const L: usize> = (CellScratch<T, L>, CellScratch<T, L>, Vec<Simd<T, L>>);
     let cell = |bi: usize, (su, sq, pq): &mut CellBufs<T, L>, out: &SharedMut<T>| {
         let b = &mf_u.cell_batches[bi];

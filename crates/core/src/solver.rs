@@ -21,8 +21,9 @@ use std::sync::Arc;
 ///
 /// A campaign runtime implements this once and hands the same cache to
 /// every [`FlowSolver::with_setup`] call, so a degree sweep over one mesh
-/// re-derives neither the metric terms nor the Lagrange tables; the
-/// default [`FreshSetup`] builds everything from scratch.
+/// samples the manifold once and derives no Lagrange table twice; the
+/// metric terms are still evaluated per solver, from the shared
+/// `Mapping`. The default [`FreshSetup`] builds everything from scratch.
 pub trait SolverSetup {
     /// Geometry sampling for `forest` at polynomial `mapping_degree`.
     fn mapping(
@@ -130,7 +131,7 @@ pub struct StepInfo {
 pub struct FlowSolver<const L: usize> {
     /// Velocity space (degree k).
     pub mf_u: Arc<MatrixFree<f64, L>>,
-    /// Pressure space (degree k−1, same quadrature).
+    /// Pressure space (degree k−1 on the velocity space's geometry).
     pub mf_p: Arc<MatrixFree<f64, L>>,
     /// Boundary conditions (pressure values updated externally each step).
     pub bcs: FlowBcs,
@@ -192,9 +193,8 @@ impl<const L: usize> FlowSolver<L> {
             (*shape_u).clone(),
             mfp_u,
         ));
-        let mf_p = Arc::new(MatrixFree::<f64, L>::with_parts(
-            forest,
-            mf_u.mapping.clone(),
+        let mf_p = Arc::new(MatrixFree::<f64, L>::with_geometry(
+            mf_u.geometry.clone(),
             (*shape_p).clone(),
             mfp_p,
         ));

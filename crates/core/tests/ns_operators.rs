@@ -6,6 +6,7 @@ use dgflow_core::operators::{boundary_flow_rate, convective_term, divergence, gr
 use dgflow_fem::operators::{integrate_rhs, interpolate_nodal};
 use dgflow_fem::{MatrixFree, MfParams};
 use dgflow_mesh::{CoarseMesh, Forest, TrilinearManifold};
+use dgflow_tensor::ShapeInfo1D;
 use std::sync::Arc;
 
 const L: usize = 4;
@@ -14,14 +15,16 @@ type Mf = Arc<MatrixFree<f64, L>>;
 fn spaces(forest: &Forest, k: usize) -> (Mf, Mf) {
     let manifold = TrilinearManifold::from_forest(forest);
     let mf_u = Arc::new(MatrixFree::new(forest, &manifold, MfParams::dg(k)));
-    let mf_p = Arc::new(MatrixFree::with_mapping(
-        forest,
-        mf_u.mapping.clone(),
-        MfParams {
-            degree: k - 1,
-            n_q: k + 1,
-            ..MfParams::dg(k)
-        },
+    let params_p = MfParams {
+        degree: k - 1,
+        n_q: k + 1,
+        ..MfParams::dg(k)
+    };
+    let shape_p = ShapeInfo1D::new(params_p.degree, params_p.node_set, params_p.n_q);
+    let mf_p = Arc::new(MatrixFree::with_geometry(
+        mf_u.geometry.clone(),
+        shape_p,
+        params_p,
     ));
     (mf_u, mf_p)
 }

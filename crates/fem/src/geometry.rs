@@ -348,9 +348,6 @@ pub struct FaceGeometry<T: Real, const L: usize> {
     /// Physical quadrature-point positions: `q*3 + d` (boundary-condition
     /// evaluation).
     pub positions: Vec<Simd<T, L>>,
-    /// Interior-penalty coefficient per lane (already includes `(k+1)^2`
-    /// and the surface/volume length scale).
-    pub sigma: Simd<T, L>,
 }
 
 #[cfg(test)]

@@ -18,5 +18,5 @@ pub use distributed::{
     apply_distributed, build_partitions, DistributedLaplace, OverlapPlan, Partition,
 };
 pub use geometry::{CellGeometry, FaceGeometry, Mapping};
-pub use matrixfree::{MatrixFree, MfParams};
+pub use matrixfree::{MatrixFree, MfGeometry, MfParams};
 pub use operators::{BoundaryCondition, InverseMassOperator, LaplaceOperator, MassOperator};

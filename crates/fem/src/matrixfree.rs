@@ -1,18 +1,24 @@
-//! The matrix-free context: everything an operator kernel needs, prepared
-//! once per `(mesh, degree, quadrature, scalar type)` combination.
+//! The matrix-free context: everything an operator kernel needs.
 //!
-//! Holds the SIMD cell/face batches, the precomputed metric terms of
-//! Eq. (7), the conflict coloring for parallel face loops, and the 1-D
-//! shape data. Operators (Laplacian, mass, convection, …) are free
-//! functions/structs in `operators/` whose kernels walk these batches
-//! through the loop of [`crate::loops`].
+//! [`MfGeometry`] holds what depends only on the mesh, the mapping, the
+//! quadrature and the scalar type: the SIMD cell/face batches, the
+//! precomputed metric terms of Eq. (7), the conflict coloring for parallel
+//! face loops and the cell volumes. [`MatrixFree`] puts one finite element
+//! space on top — its parameters, the 1-D shape data and the SIPG penalty —
+//! and dereferences to its geometry. Spaces that integrate on the same
+//! points share one geometry through an `Arc` (velocity and pressure of the
+//! flow solver, DG(k) and CG(k) of the multigrid hierarchy); every other
+//! construction evaluates the metric terms afresh. Operators (Laplacian,
+//! mass, convection, …) are free functions/structs in `operators/` whose
+//! kernels walk these batches through the loop of [`crate::loops`].
 
 use crate::batch::{batch_faces, color_face_batches, CellBatch, FaceBatch};
 use crate::geometry::{invert3, CellGeometry, FaceGeometry, GridValues, Mapping, MappingGrid};
 use crate::util::par_map;
 use dgflow_mesh::{FaceInfo, Forest, Manifold};
 use dgflow_simd::{Real, Simd};
-use dgflow_tensor::{NodeSet, QuadratureRule, ShapeInfo1D};
+use dgflow_tensor::{gauss_rule, NodeSet, QuadratureRule, ShapeInfo1D};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Construction parameters.
@@ -26,8 +32,6 @@ pub struct MfParams {
     pub node_set: NodeSet,
     /// Geometry polynomial degree.
     pub mapping_degree: usize,
-    /// Multiplier on the SIPG penalty `(k+1)^2 A_f/V`.
-    pub penalty_factor: f64,
 }
 
 impl MfParams {
@@ -38,7 +42,6 @@ impl MfParams {
             n_q: degree + 1,
             node_set: NodeSet::Gauss,
             mapping_degree: degree.clamp(1, 3),
-            penalty_factor: 1.0,
         }
     }
 
@@ -51,16 +54,14 @@ impl MfParams {
     }
 }
 
-/// Matrix-free data for one discretization.
-pub struct MatrixFree<T: Real, const L: usize> {
-    /// Parameters this context was built with.
-    pub params: MfParams,
-    /// 1-D shape data (FE basis at quadrature).
-    pub shape: ShapeInfo1D<T>,
+/// The part of a matrix-free context fixed by the forest, the mapping,
+/// the quadrature and the scalar type, shared by every space that
+/// integrates on the same points.
+pub struct MfGeometry<T: Real, const L: usize> {
+    /// 1-D Gauss points the metric terms are evaluated at.
+    pub n_q: usize,
     /// Number of active cells.
     pub n_cells: usize,
-    /// Scalar DoFs per cell (`(k+1)^3`).
-    pub dofs_per_cell: usize,
     /// SIMD cell batches.
     pub cell_batches: Vec<CellBatch<L>>,
     /// Metric terms per cell batch.
@@ -77,54 +78,23 @@ pub struct MatrixFree<T: Real, const L: usize> {
     pub faces: Vec<FaceInfo>,
     /// The polynomial geometry (shared across precisions).
     pub mapping: Arc<Mapping>,
+    /// Per face batch and lane: the larger area-to-volume ratio `A_f/V`
+    /// of the two sides (zero in empty lanes), the length scale of the
+    /// SIPG penalty.
+    pub area_ratio: Vec<[f64; L]>,
 }
 
-impl<T: Real, const L: usize> MatrixFree<T, L> {
-    /// Build the full context from a forest and a manifold.
-    pub fn new(forest: &Forest, manifold: &dyn Manifold, params: MfParams) -> Self {
-        let mapping = Arc::new(Mapping::build(forest, manifold, params.mapping_degree));
-        Self::with_mapping(forest, mapping, params)
-    }
-
-    /// Build reusing an existing geometry sampling (e.g. the other
-    /// precision of a mixed-precision pair, or another degree of the
-    /// p-multigrid hierarchy with the same mapping degree).
-    pub fn with_mapping(forest: &Forest, mapping: Arc<Mapping>, params: MfParams) -> Self {
-        let shape: ShapeInfo1D<T> = ShapeInfo1D::new(params.degree, params.node_set, params.n_q);
-        Self::with_parts(forest, mapping, shape, params)
-    }
-
-    /// Build reusing both an existing geometry sampling and precomputed
-    /// 1-D shape tables — the entry point for campaign-level setup caches
-    /// that memoize `(degree, node set, quadrature)` tables across many
-    /// solver instances.
-    pub fn with_parts(
-        forest: &Forest,
-        mapping: Arc<Mapping>,
-        shape: ShapeInfo1D<T>,
-        params: MfParams,
-    ) -> Self {
-        assert_eq!(mapping.degree, params.mapping_degree);
-        assert_eq!(
-            shape.degree, params.degree,
-            "shape tables built for another degree"
-        );
-        assert_eq!(
-            shape.n_q, params.n_q,
-            "shape tables built for another quadrature"
-        );
-        assert_eq!(
-            shape.node_set, params.node_set,
-            "shape tables built for another node set"
-        );
+impl<T: Real, const L: usize> MfGeometry<T, L> {
+    /// Batch the forest's cells and faces and evaluate the metric terms of
+    /// `mapping` at the `n_q`-point Gauss rule, batch by batch on the pool.
+    pub fn new(forest: &Forest, mapping: Arc<Mapping>, n_q: usize) -> Self {
         let n_cells = forest.n_active();
         let cell_batches = CellBatch::<L>::batch_all(n_cells);
         let faces = forest.build_faces();
         let face_batches = batch_faces::<L>(&faces);
         let face_colors = color_face_batches(&face_batches, n_cells);
 
-        // --- metric terms, batch by batch on the pool -----------------------
-        let quad = &shape.quad;
+        let quad = gauss_rule(n_q);
         let cell_grid = MappingGrid::new(&mapping, [&quad.points[..]; 3]);
         let cell_metric = par_map(cell_batches.len(), GridValues::<L>::default, |geo, bi| {
             cell_metric(&cell_grid, &cell_batches[bi], &quad.weights, geo)
@@ -140,28 +110,17 @@ impl<T: Real, const L: usize> MatrixFree<T, L> {
                 geometry
             })
             .collect();
-        let kp1 = (params.degree + 1) as f64;
-        let penalty = params.penalty_factor * kp1 * kp1;
-        let face_geometry = par_map(
+        let (face_geometry, area_ratio) = par_map(
             face_batches.len(),
             <[GridValues<L>; 2]>::default,
-            |geo, bi| {
-                face_metric(
-                    &mapping,
-                    &face_batches[bi],
-                    quad,
-                    &cell_volumes,
-                    penalty,
-                    geo,
-                )
-            },
-        );
+            |geo, bi| face_metric(&mapping, &face_batches[bi], &quad, &cell_volumes, geo),
+        )
+        .into_iter()
+        .unzip();
 
         Self {
-            params,
-            shape,
+            n_q,
             n_cells,
-            dofs_per_cell: (params.degree + 1).pow(3),
             cell_batches,
             cell_geometry,
             face_batches,
@@ -170,6 +129,87 @@ impl<T: Real, const L: usize> MatrixFree<T, L> {
             cell_volumes,
             faces,
             mapping,
+            area_ratio,
+        }
+    }
+}
+
+/// Matrix-free data for one discretization: a finite element space on a
+/// (possibly shared) [`MfGeometry`], which it dereferences to.
+pub struct MatrixFree<T: Real, const L: usize> {
+    /// Parameters this context was built with.
+    pub params: MfParams,
+    /// 1-D shape data (FE basis at quadrature).
+    pub shape: ShapeInfo1D<T>,
+    /// Scalar DoFs per cell (`(k+1)^3`).
+    pub dofs_per_cell: usize,
+    /// Batches and metric terms, shared by the spaces on the same points.
+    pub geometry: Arc<MfGeometry<T, L>>,
+    /// Interior-penalty coefficient per face batch and lane: `(k+1)^2`
+    /// times the geometry's `area_ratio`, as in ExaDG.
+    pub sigma: Vec<Simd<T, L>>,
+}
+
+impl<T: Real, const L: usize> Deref for MatrixFree<T, L> {
+    type Target = MfGeometry<T, L>;
+
+    fn deref(&self) -> &MfGeometry<T, L> {
+        &self.geometry
+    }
+}
+
+impl<T: Real, const L: usize> MatrixFree<T, L> {
+    /// Build the full context from a forest and a manifold.
+    pub fn new(forest: &Forest, manifold: &dyn Manifold, params: MfParams) -> Self {
+        let mapping = Arc::new(Mapping::build(forest, manifold, params.mapping_degree));
+        let shape = ShapeInfo1D::new(params.degree, params.node_set, params.n_q);
+        Self::with_parts(forest, mapping, shape, params)
+    }
+
+    /// Build reusing both an existing geometry sampling and precomputed
+    /// 1-D shape tables — the entry point for campaign-level setup caches
+    /// that memoize the `Mapping` and the `(degree, node set, quadrature)`
+    /// tables across many solver instances. The metric terms are
+    /// evaluated here.
+    pub fn with_parts(
+        forest: &Forest,
+        mapping: Arc<Mapping>,
+        shape: ShapeInfo1D<T>,
+        params: MfParams,
+    ) -> Self {
+        let geometry = Arc::new(MfGeometry::new(forest, mapping, params.n_q));
+        Self::with_geometry(geometry, shape, params)
+    }
+
+    /// Build a space on an existing geometry: another degree or node set
+    /// that integrates on the same Gauss points.
+    pub fn with_geometry(
+        geometry: Arc<MfGeometry<T, L>>,
+        shape: ShapeInfo1D<T>,
+        params: MfParams,
+    ) -> Self {
+        assert_eq!(
+            (geometry.mapping.degree, geometry.n_q),
+            (params.mapping_degree, params.n_q),
+            "geometry built for another mapping degree or quadrature"
+        );
+        assert_eq!(
+            (shape.degree, shape.node_set, shape.n_q),
+            (params.degree, params.node_set, params.n_q),
+            "shape tables built for other parameters"
+        );
+        let kp1 = (params.degree + 1) as f64;
+        let sigma = geometry
+            .area_ratio
+            .iter()
+            .map(|ratio| Simd(ratio.map(|r| T::from_f64(kp1 * kp1 * r))))
+            .collect();
+        Self {
+            params,
+            shape,
+            dofs_per_cell: (params.degree + 1).pow(3),
+            geometry,
+            sigma,
         }
     }
 
@@ -240,16 +280,15 @@ fn cell_metric<T: Real, const L: usize>(
 }
 
 /// Metric terms of one face batch at the tensor Gauss points of the
-/// minus side (restricted to the sub-face on hanging faces); `penalty`
-/// multiplies the larger area-to-volume ratio of the two sides.
+/// minus side (restricted to the sub-face on hanging faces), and the
+/// larger area-to-volume ratio of the two sides per lane.
 fn face_metric<T: Real, const L: usize>(
     mapping: &Mapping,
     b: &FaceBatch<L>,
     quad: &QuadratureRule,
     cell_volumes: &[f64],
-    penalty: f64,
     [geo_m, geo_p]: &mut [GridValues<L>; 2],
-) -> FaceGeometry<T, L> {
+) -> (FaceGeometry<T, L>, [f64; L]) {
     let (quad_pts, quad_w) = (&quad.points[..], &quad.weights[..]);
     let n_q = quad_pts.len();
     let nq2 = n_q * n_q;
@@ -284,7 +323,6 @@ fn face_metric<T: Real, const L: usize>(
     let mut normal = vec![Simd::<T, L>::zero(); nq2 * 3];
     let mut jxw = vec![Simd::<T, L>::zero(); nq2];
     let mut positions = vec![Simd::<T, L>::zero(); nq2 * 3];
-    let mut sigma = Simd::<T, L>::zero();
     let mut areas = [0.0; L];
     for l in 0..b.n_filled {
         for q2 in 0..n_q {
@@ -335,23 +373,22 @@ fn face_metric<T: Real, const L: usize>(
             }
         }
     }
-    // penalty: (k+1)^2 * max over sides of A_f / V, as in ExaDG
+    let mut ratio = [0.0; L];
     for l in 0..b.n_filled {
         let a = areas[l];
-        let mut s = a / cell_volumes[b.minus[l] as usize];
+        ratio[l] = a / cell_volumes[b.minus[l] as usize];
         if !cat.is_boundary {
-            s = s.max(a / cell_volumes[b.plus[l] as usize]);
+            ratio[l] = ratio[l].max(a / cell_volumes[b.plus[l] as usize]);
         }
-        sigma[l] = T::from_f64(penalty * s);
     }
-    FaceGeometry {
+    let geometry = FaceGeometry {
         g_minus,
         g_plus,
         normal,
         jxw,
         positions,
-        sigma,
-    }
+    };
+    (geometry, ratio)
 }
 
 /// Tangential directions of the face with normal `d`, increasing order.
@@ -451,8 +488,8 @@ mod tests {
     fn sigma_scales_with_mesh_refinement() {
         let coarse = cube_mf(1, 2);
         let fine = cube_mf(2, 2);
-        let s_coarse = coarse.face_geometry[0].sigma[0];
-        let s_fine = fine.face_geometry[0].sigma[0];
+        let s_coarse = coarse.sigma[0][0];
+        let s_fine = fine.sigma[0][0];
         assert!((s_fine / s_coarse - 2.0).abs() < 1e-10);
     }
 

@@ -127,7 +127,7 @@ impl<T: Real, const L: usize> LaplaceOperator<T, L> {
         read(1, sp);
         evaluate_face(mf, desc_m, true, sm);
         evaluate_face(mf, desc_p, true, sp);
-        interior_face_flux(&mf.face_geometry[bi], sm, sp);
+        interior_face_flux(&mf.face_geometry[bi], mf.sigma[bi], sm, sp);
         integrate_face(mf, desc_m, true, sm);
         write(0, sm);
         integrate_face(mf, desc_p, true, sp);

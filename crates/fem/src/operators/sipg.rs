@@ -62,13 +62,14 @@ fn set_flux<T: Real, const L: usize>(
 /// ghost `u⁺ = −u⁻`, `∂n u⁺ = ∂n u⁻` in the interior flux.
 fn nitsche_boundary_flux<T: Real, const L: usize>(
     g: &FaceGeometry<T, L>,
+    sigma: Simd<T, L>,
     s: &mut FaceScratch<T, L>,
 ) {
     for q in 0..g.jxw.len() {
         let u = s.val[q];
         let dn = normal_derivative(s, &g.g_minus, q);
         let jxw = g.jxw[q];
-        let vflux = (u * g.sigma * T::from_f64(2.0) - dn) * jxw;
+        let vflux = (u * sigma * T::from_f64(2.0) - dn) * jxw;
         set_flux(s, &g.g_minus, q, vflux, -(u * jxw));
     }
 }
@@ -95,6 +96,7 @@ fn interior_flux<T: Real, const L: usize>(
 /// The SIPG interior face flux, in place on both sides' traces.
 pub(crate) fn interior_face_flux<T: Real, const L: usize>(
     g: &FaceGeometry<T, L>,
+    sigma: Simd<T, L>,
     sm: &mut FaceScratch<T, L>,
     sp: &mut FaceScratch<T, L>,
 ) {
@@ -103,7 +105,7 @@ pub(crate) fn interior_face_flux<T: Real, const L: usize>(
             normal_derivative(sm, &g.g_minus, q),
             normal_derivative(sp, &g.g_plus, q),
         ];
-        let (vflux, gsc) = interior_flux([sm.val[q], sp.val[q]], dn, g.sigma, g.jxw[q]);
+        let (vflux, gsc) = interior_flux([sm.val[q], sp.val[q]], dn, sigma, g.jxw[q]);
         set_flux(sm, &g.g_minus, q, vflux, gsc);
         set_flux(sp, &g.g_plus, q, -vflux, gsc);
     }
@@ -117,7 +119,7 @@ pub(crate) fn nitsche_lifting<T: Real, const L: usize>(
     gfun: impl Fn([f64; 3]) -> f64,
     s: &mut FaceScratch<T, L>,
 ) {
-    let (b, g) = (&mf.face_batches[bi], &mf.face_geometry[bi]);
+    let (b, g, sigma) = (&mf.face_batches[bi], &mf.face_geometry[bi], mf.sigma[bi]);
     for q in 0..g.jxw.len() {
         let mut gv = Simd::<T, L>::zero();
         for l in 0..b.n_filled {
@@ -129,7 +131,7 @@ pub(crate) fn nitsche_lifting<T: Real, const L: usize>(
             gv[l] = T::from_f64(gfun(x));
         }
         let jxw = g.jxw[q];
-        s.val[q] = gv * g.sigma * T::from_f64(2.0) * jxw;
+        s.val[q] = gv * sigma * T::from_f64(2.0) * jxw;
         for d in 0..3 {
             s.grad[d][q] = -(g.g_minus[q * 3 + d] * gv * jxw);
         }
@@ -146,7 +148,7 @@ pub(crate) fn nitsche_boundary_term<T: Real, const L: usize>(
 ) {
     let desc = FaceSideDesc::minus(&mf.face_batches[bi]);
     evaluate_face(mf, desc, true, s);
-    nitsche_boundary_flux(&mf.face_geometry[bi], s);
+    nitsche_boundary_flux(&mf.face_geometry[bi], mf.sigma[bi], s);
     integrate_face(mf, desc, true, s);
 }
 
@@ -192,7 +194,7 @@ pub(crate) fn interior_side_column<T: Real, const L: usize>(
     i: usize,
     s: &mut FaceScratch<T, L>,
 ) {
-    let (b, g) = (&mf.face_batches[bi], &mf.face_geometry[bi]);
+    let (b, g, sigma) = (&mf.face_batches[bi], &mf.face_geometry[bi], mf.sigma[bi]);
     let (desc, gn) = if plus {
         (FaceSideDesc::plus(b), &g.g_plus)
     } else {
@@ -204,10 +206,10 @@ pub(crate) fn interior_side_column<T: Real, const L: usize>(
     for q in 0..g.jxw.len() {
         let (u, dn) = (s.val[q], normal_derivative(s, gn, q));
         let (vflux, gsc) = if plus {
-            let (vflux, gsc) = interior_flux([z, u], [z, dn], g.sigma, g.jxw[q]);
+            let (vflux, gsc) = interior_flux([z, u], [z, dn], sigma, g.jxw[q]);
             (-vflux, gsc)
         } else {
-            interior_flux([u, z], [dn, z], g.sigma, g.jxw[q])
+            interior_flux([u, z], [dn, z], sigma, g.jxw[q])
         };
         set_flux(s, gn, q, vflux, gsc);
     }

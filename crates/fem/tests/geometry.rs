@@ -9,6 +9,7 @@ use dgflow_fem::{MatrixFree, MfParams};
 use dgflow_lung::{bifurcation_tree, mesh_airway_tree, MeshParams};
 use dgflow_mesh::{CoarseMesh, Forest, Manifold, TrilinearManifold};
 use dgflow_simd::Simd;
+use dgflow_tensor::{NodeSet, ShapeInfo1D};
 use std::collections::BTreeMap;
 use std::f64::consts::PI;
 
@@ -150,7 +151,7 @@ fn check_against_pointwise(mf: &MatrixFree<f64, L>) {
 
     let kp1 = (mf.params.degree + 1) as f64;
     let mut n_plus_sides = 0;
-    for (b, g) in mf.face_batches.iter().zip(&mf.face_geometry) {
+    for (bi, (b, g)) in mf.face_batches.iter().zip(&mf.face_geometry).enumerate() {
         let cat = b.category;
         let nq2 = n_q * n_q;
         let (dm, sm) = ((cat.face_minus / 2) as usize, (cat.face_minus % 2) as usize);
@@ -203,20 +204,21 @@ fn check_against_pointwise(mf: &MatrixFree<f64, L>) {
                 s = s.max(area / volumes[b.plus[l] as usize]);
                 n_plus_sides += 1;
             }
-            sigma[0][l] = mf.params.penalty_factor * kp1 * kp1 * s;
+            sigma[0][l] = kp1 * kp1 * s;
         }
         fields.push("face.g_minus", &g.g_minus, &g_minus, b.n_filled);
         fields.push("face.g_plus", &g.g_plus, &g_plus, b.n_filled);
         fields.push("face.normal", &g.normal, &normal, b.n_filled);
         fields.push("face.jxw", &g.jxw, &jxw, b.n_filled);
         fields.push("face.positions", &g.positions, &pos, b.n_filled);
-        fields.push("face.sigma", &[g.sigma], &sigma, b.n_filled);
+        fields.push("face.sigma", &mf.sigma[bi..=bi], &sigma, b.n_filled);
     }
     assert!(n_plus_sides > 0);
     fields.check();
 }
 
-/// Bit patterns of every metric field, batch by batch.
+/// Bit patterns of every geometry field and of the penalty, batch by
+/// batch.
 fn bits(mf: &MatrixFree<f64, L>) -> Vec<u64> {
     let mut out: Vec<u64> = mf.cell_volumes.iter().map(|v| v.to_bits()).collect();
     let mut add = |v: &[Simd<f64, L>]| {
@@ -233,8 +235,9 @@ fn bits(mf: &MatrixFree<f64, L>) -> Vec<u64> {
         add(&g.normal);
         add(&g.jxw);
         add(&g.positions);
-        add(&[g.sigma]);
     }
+    add(&mf.sigma);
+    out.extend(mf.area_ratio.iter().flatten().map(|v| v.to_bits()));
     out
 }
 
@@ -282,9 +285,29 @@ fn hanging_metric_terms_match_pointwise_reference() {
 
 #[test]
 fn metric_terms_are_bitwise_reproducible() {
+    let k = 3;
     for (forest, manifold) in [bifurcation(), hanging_cube()] {
-        let a = build(&forest, &manifold, 3);
-        let b = build(&forest, &manifold, 3);
+        let a = build(&forest, &manifold, k);
+        let b = build(&forest, &manifold, k);
         assert!(bits(&a) == bits(&b), "two builds differ");
+        // CG(k) and DG(k-1) at n_q = k+1 on DG(k)'s geometry: bitwise a
+        // fresh build of their own
+        let cg = MfParams {
+            node_set: NodeSet::GaussLobatto,
+            ..a.params
+        };
+        let pressure = MfParams {
+            degree: k - 1,
+            ..a.params
+        };
+        for params in [cg, pressure] {
+            let shape = ShapeInfo1D::new(params.degree, params.node_set, params.n_q);
+            let shared = MatrixFree::with_geometry(a.geometry.clone(), shape, params);
+            let fresh = MatrixFree::new(&forest, &manifold, params);
+            assert!(
+                bits(&shared) == bits(&fresh),
+                "{params:?}: shared geometry differs from a fresh build"
+            );
+        }
     }
 }

@@ -66,7 +66,7 @@ fn face_kernel<'a, T: Real, const L: usize>(
     src: &'a [T],
 ) -> impl Fn(usize, &mut FaceBufs<T, L>, &SharedMut<T>) + Sync + 'a {
     move |bi, (m, p), out| {
-        let (b, g) = (&mf.face_batches[bi], &mf.face_geometry[bi]);
+        let (b, sigma) = (&mf.face_batches[bi], mf.sigma[bi]);
         let dpc = mf.dofs_per_cell;
         gather_face_cells(&b.minus, b.n_filled, src, dpc, 0, dpc, m);
         if b.category.is_boundary {
@@ -75,8 +75,8 @@ fn face_kernel<'a, T: Real, const L: usize>(
             gather_face_cells(&b.plus, b.n_filled, src, dpc, 0, dpc, p);
         }
         for (vm, vp) in m.iter_mut().zip(p.iter_mut()) {
-            let j = (*vm - *vp) * g.sigma + Simd::splat(T::from_f64(0.1));
-            (*vm, *vp) = (j, -j * g.sigma);
+            let j = (*vm - *vp) * sigma + Simd::splat(T::from_f64(0.1));
+            (*vm, *vp) = (j, -j * sigma);
         }
         scatter_add_face_cells(&b.minus, b.n_filled, m, dpc, 0, dpc, out);
         if !b.category.is_boundary {
@@ -133,7 +133,7 @@ fn check_cg<T: Real, const L: usize>(forest: &Forest, ctx: &str) {
         if let Some(plan) = &space.face_plans[bi] {
             space.gather_batch(plan, &src, s);
             for v in s.iter_mut() {
-                *v *= mf.face_geometry[bi].sigma;
+                *v *= mf.sigma[bi];
             }
             // SAFETY: the face pass is serial
             unsafe { space.scatter_add_batch(plan, s, out) };

@@ -8,12 +8,13 @@ use crate::transfer::Transfer;
 use dgflow_comm::{parallel_chunks_mut, PAR_GRAIN};
 use dgflow_fem::cg_space::{CgLaplaceOperator, CgSpace};
 use dgflow_fem::operators::laplace::BoundaryCondition;
-use dgflow_fem::{LaplaceOperator, Mapping, MatrixFree, MfParams};
+use dgflow_fem::{LaplaceOperator, MatrixFree, MfParams};
 use dgflow_mesh::{Forest, Manifold};
 use dgflow_simd::Real;
 use dgflow_solvers::{
     AlgebraicMultigrid, AmgParams, ChebyshevSmoother, CsrMatrix, LinearOperator, Preconditioner,
 };
+use dgflow_tensor::ShapeInfo1D;
 use std::sync::Arc;
 
 /// Cycle shape of the hierarchy traversal.
@@ -114,53 +115,40 @@ impl<T: Real, const L: usize> HybridMultigrid<T, L> {
         bc: Vec<BoundaryCondition>,
         params: MgParams,
     ) -> Self {
-        let mut levels: Vec<MgLevel<T, L>> = Vec::new();
-
-        // one geometry sampling per mapping degree on the fine forest,
-        // shared by DG(k) and the CG p-levels
-        let mut mappings: Vec<Arc<Mapping>> = Vec::new();
-        let mut fine_mf = |params: MfParams| {
-            let mapping = match mappings.iter().find(|m| m.degree == params.mapping_degree) {
-                Some(m) => m.clone(),
-                None => {
-                    let m = Arc::new(Mapping::build(forest, manifold, params.mapping_degree));
-                    mappings.push(m.clone());
-                    m
-                }
-            };
-            Arc::new(MatrixFree::<T, L>::with_mapping(forest, mapping, params))
-        };
-
-        // finest: DG(k)
-        let mf_dg = fine_mf(MfParams::dg(degree));
+        // finest: DG(k), and CG(k) on its geometry (both integrate on the
+        // k+1 Gauss points)
+        let mf_dg = Arc::new(MatrixFree::<T, L>::new(
+            forest,
+            manifold,
+            MfParams::dg(degree),
+        ));
         let dg_op = LaplaceOperator::with_bc(mf_dg.clone(), bc.clone());
+        let cg_params = MfParams::cg(degree);
+        let cg_shape = ShapeInfo1D::new(degree, cg_params.node_set, cg_params.n_q);
+        let mf_cg = MatrixFree::with_geometry(mf_dg.geometry.clone(), cg_shape, cg_params);
 
-        // CG degree sequence: k, k/2, ..., 1 on the fine forest
-        let mut degrees = vec![degree.max(1)];
-        while *degrees.last().unwrap() > 1 {
-            degrees.push(degrees.last().unwrap() / 2);
-        }
-        let cg_spaces: Vec<Arc<CgSpace<T, L>>> = degrees
-            .iter()
-            .map(|&k| Arc::new(CgSpace::from_mf(forest, fine_mf(MfParams::cg(k)))))
-            .collect();
-
-        // geometric coarsening sequence (degree 1)
+        // the CG levels, finest first, with their forests: CG(k), then the
+        // p-levels k/2, ..., 1 on the fine forest, then degree 1 on the
+        // geometric coarsening sequence. The coarser levels sample the same
+        // manifold on their cells (the paper injects the patient-specific
+        // geometry into the coarse levels via consistent interpolation the
+        // same way)
         let mut forests: Vec<Forest> = Vec::new();
-        {
-            let mut current = forest.clone();
-            while let Some(coarser) = current.coarsen_global() {
-                forests.push(coarser.clone());
-                current = coarser;
-            }
+        while let Some(coarser) = forests.last().unwrap_or(forest).coarsen_global() {
+            forests.push(coarser);
         }
-        // geometry of coarser levels: the same manifold, sampled on the
-        // coarser cells (the paper injects the patient-specific geometry
-        // into the coarse levels via consistent interpolation the same way)
-        let h_spaces: Vec<Arc<CgSpace<T, L>>> = forests
-            .iter()
-            .map(|f| Arc::new(CgSpace::new(f, manifold, 1)))
-            .collect();
+        let fine_cg = Arc::new(CgSpace::from_mf(forest, Arc::new(mf_cg)));
+        let mut cg = vec![(fine_cg, forest, format!("CG(k={degree})"))];
+        let mut k = degree;
+        while k > 1 {
+            k /= 2;
+            let space = Arc::new(CgSpace::new(forest, manifold, k));
+            cg.push((space, forest, format!("CG(k={k})")));
+        }
+        for (i, f) in forests.iter().enumerate() {
+            let label = format!("CG(k=1) l={}", forests.len() - 1 - i);
+            cg.push((Arc::new(CgSpace::new(f, manifold, 1)), f, label));
+        }
 
         // assemble levels with transfers
         let make_smoother = |op: &dyn LinearOperator<T>| {
@@ -168,62 +156,27 @@ impl<T: Real, const L: usize> HybridMultigrid<T, L> {
             let inv: Vec<T> = diag.into_iter().map(|d| T::ONE / d).collect();
             ChebyshevSmoother::new(op, inv, params.smoother_degree, params.smoothing_range)
         };
-
-        // DG level
-        {
-            let transfer = Transfer::dg_to_cg(mf_dg.clone(), cg_spaces[0].clone());
-            let smoother = make_smoother(&dg_op);
-            levels.push(MgLevel {
-                smoother,
-                transfer: Some(transfer),
-                label: format!("DG(k={degree})"),
-                op: LevelOp::Dg(dg_op),
-            });
-        }
-        // CG p-levels
-        for (i, space) in cg_spaces.iter().enumerate() {
+        let mut levels: Vec<MgLevel<T, L>> = vec![MgLevel {
+            smoother: make_smoother(&dg_op),
+            transfer: Some(Transfer::dg_to_cg(mf_dg.clone(), cg[0].0.clone())),
+            label: format!("DG(k={degree})"),
+            op: LevelOp::Dg(dg_op),
+        }];
+        // p-transfers while the degree drops, h-transfers below
+        for (i, (space, f, label)) in cg.iter().enumerate() {
             let op = CgLaplaceOperator::with_bc(space.clone(), bc.clone());
             let smoother = make_smoother(&op);
-            let transfer = if i + 1 < cg_spaces.len() {
-                Some(Transfer::p_transfer(
-                    space.clone(),
-                    cg_spaces[i + 1].clone(),
-                ))
-            } else if !h_spaces.is_empty() {
-                Some(Transfer::h_transfer(
-                    space.clone(),
-                    forest,
-                    h_spaces[0].clone(),
-                    &forests[0],
-                ))
-            } else {
-                None
-            };
+            let transfer = cg.get(i + 1).map(|(next, next_f, _)| {
+                if next.mf.params.degree < space.mf.params.degree {
+                    Transfer::p_transfer(space.clone(), next.clone())
+                } else {
+                    Transfer::h_transfer(space.clone(), f, next.clone(), next_f)
+                }
+            });
             levels.push(MgLevel {
                 smoother,
                 transfer,
-                label: format!("CG(k={})", degrees[i]),
-                op: LevelOp::Cg(op),
-            });
-        }
-        // CG h-levels
-        for (i, space) in h_spaces.iter().enumerate() {
-            let op = CgLaplaceOperator::with_bc(space.clone(), bc.clone());
-            let smoother = make_smoother(&op);
-            let transfer = if i + 1 < h_spaces.len() {
-                Some(Transfer::h_transfer(
-                    space.clone(),
-                    &forests[i],
-                    h_spaces[i + 1].clone(),
-                    &forests[i + 1],
-                ))
-            } else {
-                None
-            };
-            levels.push(MgLevel {
-                smoother,
-                transfer,
-                label: format!("CG(k=1) l={}", forests.len() - 1 - i),
+                label: label.clone(),
                 op: LevelOp::Cg(op),
             });
         }

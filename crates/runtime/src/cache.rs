@@ -10,7 +10,9 @@
 //! * **Geometry samplings** ([`Mapping`]) keyed by
 //!   `(mesh fingerprint, mapping degree)` — shared by every case on the
 //!   same mesh whose mapping degree coincides (degrees ≥ 3 all clamp to
-//!   mapping degree 3), so a degree sweep samples the metric terms once.
+//!   mapping degree 3), so a degree sweep samples the manifold at the
+//!   support points once. The metric terms depend on the quadrature and
+//!   the precision and are evaluated per case from the shared mapping.
 //!
 //! The mesh fingerprint hashes the geometry the mapping actually depends
 //! on: the trilinear corners of every active cell, in deterministic cell

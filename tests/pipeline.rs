@@ -4,8 +4,8 @@
 use dgflow::core::{FlowParams, FlowSolver, VentilationModel, VentilatorSettings};
 use dgflow::fem::BoundaryCondition;
 use dgflow::lung::{lung_mesh, INLET_ID};
-use dgflow::mesh::{Forest, TrilinearManifold};
-use dgflow::multigrid::solve_poisson;
+use dgflow::mesh::{CoarseMesh, Forest, TrilinearManifold};
+use dgflow::multigrid::{solve_poisson, HybridMultigrid, LevelOp, MgParams};
 use std::sync::Arc;
 
 #[test]
@@ -58,6 +58,8 @@ fn ventilated_lung_with_multigrid_runs() {
     let bcs = VentilationModel::make_bcs(&mesh);
     let mut vent = VentilationModel::from_lung(&mesh, VentilatorSettings::default());
     let mut solver = FlowSolver::<4>::new(&forest, &manifold, params, bcs);
+    // the pressure space integrates on the velocity space's points
+    assert!(Arc::ptr_eq(&solver.mf_u.geometry, &solver.mf_p.geometry));
     let rho = solver.density();
     vent.update(
         0.0,
@@ -82,6 +84,20 @@ fn ventilated_lung_with_multigrid_runs() {
         vent.update(solver.time, info.dt, -q_in, &flows, rho, &mut solver.bcs);
     }
     assert!(inhaled > 0.0, "ventilator failed to drive flow: {inhaled}");
+}
+
+#[test]
+fn multigrid_dg_and_cg_levels_share_one_geometry() {
+    let mut forest = Forest::new(CoarseMesh::hyper_cube());
+    forest.refine_global(1);
+    let manifold = TrilinearManifold::from_forest(&forest);
+    let bc = vec![BoundaryCondition::Dirichlet];
+    let mg = HybridMultigrid::<f32, 8>::build(&forest, &manifold, 2, bc, MgParams::default());
+    let (LevelOp::Dg(dg), LevelOp::Cg(cg)) = (&mg.levels[0].op, &mg.levels[1].op) else {
+        panic!("want DG(k) then CG(k) at the top of the hierarchy");
+    };
+    assert_eq!(cg.space.mf.params.degree, 2);
+    assert!(Arc::ptr_eq(&dg.mf.geometry, &cg.space.mf.geometry));
 }
 
 #[test]
