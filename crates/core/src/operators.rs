@@ -5,26 +5,32 @@
 //! step, and the div-div + normal-continuity penalty operator `A_pen`.
 
 use crate::bc::{BcKind, FlowBcs};
-use crate::field::DIM;
+use crate::field::{
+    for_each_node, n_velocity_dofs, read_cell, read_face, write_cell, write_face, DIM,
+};
 use dgflow_fem::evaluator::{
-    evaluate_face, evaluate_gradients, evaluate_values, gather_cell, gather_face_cells, integrate,
-    integrate_face, scatter_add_cell, scatter_add_face_cells, CellScratch, FaceScratch,
-    FaceSideDesc,
+    evaluate_face, evaluate_values, gather_cells, integrate, integrate_face, scatter_add_cells,
+    CellScratch, FaceScratch, FaceSideDesc,
 };
 use dgflow_fem::util::SharedMut;
-use dgflow_fem::{LaplaceOperator, MatrixFree};
+use dgflow_fem::{LaplaceOperator, MassOperator, MatrixFree};
 use dgflow_simd::{Real, Simd};
 use dgflow_solvers::LinearOperator;
 use std::sync::Arc;
 
-/// Velocity stride per cell.
-fn ustride<T: Real, const L: usize>(mf: &MatrixFree<T, L>) -> usize {
-    DIM * mf.dofs_per_cell
-}
-
-/// `[n; 3]` zeroed point buffers, one per velocity component.
-fn component_buffers<T: Real, const L: usize>(n: usize) -> [Vec<Simd<T, L>>; DIM] {
-    std::array::from_fn(|_| vec![Simd::zero(); n])
+/// One step of `−(Σ_d t_d) · JxW` summed over the components `d = 0, 1, 2`
+/// in order: `acc` is the partial sum before component `d`.
+pub(crate) fn sum_component<T: Real, const L: usize>(
+    d: usize,
+    acc: Simd<T, L>,
+    t: Simd<T, L>,
+    jxw: Simd<T, L>,
+) -> Simd<T, L> {
+    match d {
+        0 => t,
+        1 => acc + t,
+        _ => -(acc + t) * jxw,
+    }
 }
 
 /// Weak convective term: `dst = ∫ −∇v : (u⊗u) + ⟨v, Φ*(u⁻,u⁺)·n⟩` —
@@ -36,21 +42,14 @@ pub fn convective_term<T: Real, const L: usize>(
     dst: &mut [T],
 ) {
     assert!(mf.collocated(), "convective kernel assumes collocation");
-    let dpc = mf.dofs_per_cell;
-    let stride = ustride(mf);
     let nq3 = mf.n_q().pow(3);
     let nq2 = mf.n_q() * mf.n_q();
     let cell = |bi: usize,
                 (s, uq): &mut (CellScratch<T, L>, [Vec<Simd<T, L>>; DIM]),
                 out: &SharedMut<T>| {
-        let b = &mf.cell_batches[bi];
         let g = &mf.cell_geometry[bi];
-        for (d, uqd) in uq.iter_mut().enumerate() {
-            // collocated: nodal values *are* the quadrature values, so
-            // gather straight into the batch buffer (no copy chain).
-            gather_cell(b, u, stride, d * dpc, dpc, uqd);
-        }
-        for d in 0..DIM {
+        read_cell(mf, bi, u, false, s, |d, s| uq[d].copy_from_slice(&s.quad));
+        write_cell(mf, bi, s, out, |d, grad| {
             for q in 0..nq3 {
                 let jxw = g.jxw[q];
                 let m = &g.jinvt[q * 9..q * 9 + 9];
@@ -61,12 +60,10 @@ pub fn convective_term<T: Real, const L: usize>(
                     uq[d][q] * uq[2][q],
                 ];
                 for c in 0..DIM {
-                    s.grad[c][q] = -(f[0] * m[c] + f[1] * m[3 + c] + f[2] * m[6 + c]) * jxw;
+                    grad[c][q] = -(f[0] * m[c] + f[1] * m[3 + c] + f[2] * m[6 + c]) * jxw;
                 }
             }
-            integrate(mf, s, false, true);
-            scatter_add_cell(b, &s.dofs, stride, d * dpc, dpc, out);
-        }
+        });
     };
     type FaceBufs<T, const L: usize> = (
         FaceScratch<T, L>,
@@ -74,40 +71,22 @@ pub fn convective_term<T: Real, const L: usize>(
         [[Vec<Simd<T, L>>; DIM]; 3],
     );
     let face = |bi: usize, (sm, sp, [um, up, flux]): &mut FaceBufs<T, L>, out: &SharedMut<T>| {
-        let b = &mf.face_batches[bi];
+        let cat = mf.face_batches[bi].category;
         let g = &mf.face_geometry[bi];
-        let cat = b.category;
-        let desc_m = FaceSideDesc::minus(b);
-        for d in 0..DIM {
-            gather_face_cells(&b.minus, b.n_filled, u, stride, d * dpc, dpc, &mut sm.dofs);
-            evaluate_face(mf, desc_m, false, sm);
-            um[d].copy_from_slice(&sm.val);
-        }
-        let desc_p = FaceSideDesc::plus(b);
-        if cat.is_boundary {
-            match bcs.kind(cat.boundary_id) {
+        read_face(mf, bi, u, sm, sp, |d, m, p| {
+            um[d].copy_from_slice(m);
+            match (p, bcs.kind(cat.boundary_id)) {
+                (Some(p), _) => up[d].copy_from_slice(p),
                 // mirror: u⁺ = −u⁻ (no-slip)
-                BcKind::Wall => {
-                    for d in 0..DIM {
-                        for q in 0..nq2 {
-                            up[d][q] = -um[d][q];
-                        }
+                (None, BcKind::Wall) => {
+                    for (a, &b) in up[d].iter_mut().zip(m) {
+                        *a = -b;
                     }
                 }
                 // do-nothing: u⁺ = u⁻
-                BcKind::Pressure => {
-                    for d in 0..DIM {
-                        up[d].copy_from_slice(&um[d]);
-                    }
-                }
+                (None, BcKind::Pressure) => up[d].copy_from_slice(m),
             }
-        } else {
-            for d in 0..DIM {
-                gather_face_cells(&b.plus, b.n_filled, u, stride, d * dpc, dpc, &mut sp.dofs);
-                evaluate_face(mf, desc_p, false, sp);
-                up[d].copy_from_slice(&sp.val);
-            }
-        }
+        });
         // pointwise LLF flux Φ_d = {{u_d u}}·n + λ/2 (u_d⁻ − u_d⁺)
         let half = T::from_f64(0.5);
         for q in 0..nq2 {
@@ -122,26 +101,23 @@ pub fn convective_term<T: Real, const L: usize>(
                 flux[d][q] = phi * jxw;
             }
         }
-        for d in 0..DIM {
-            sm.val.copy_from_slice(&flux[d]);
-            integrate_face(mf, desc_m, false, sm);
-            scatter_add_face_cells(&b.minus, b.n_filled, &sm.dofs, stride, d * dpc, dpc, out);
-            if !cat.is_boundary {
-                for q in 0..nq2 {
-                    sp.val[q] = -flux[d][q];
-                }
-                integrate_face(mf, desc_p, false, sp);
-                scatter_add_face_cells(&b.plus, b.n_filled, &sp.dofs, stride, d * dpc, dpc, out);
-            }
-        }
+        write_face(mf, bi, sm, out, |d, val| val.copy_from_slice(&flux[d]));
     };
     mf.loop_over(
         None,
         dst,
-        (|| (CellScratch::new(mf), component_buffers(nq3)), cell),
         (
             || {
-                let bufs = std::array::from_fn(|_| component_buffers(nq2));
+                (
+                    CellScratch::new(mf),
+                    [(); DIM].map(|_| vec![Simd::zero(); nq3]),
+                )
+            },
+            cell,
+        ),
+        (
+            || {
+                let bufs = [(); 3].map(|_| [(); DIM].map(|_| vec![Simd::zero(); nq2]));
                 (FaceScratch::new(mf), FaceScratch::new(mf), bufs)
             },
             face,
@@ -159,112 +135,70 @@ pub fn divergence<T: Real, const L: usize>(
     u: &[T],
     dst: &mut [T],
 ) {
-    let dpc_u = mf_u.dofs_per_cell;
     let dpc_p = mf_p.dofs_per_cell;
-    let stride = ustride(mf_u);
     let nq3 = mf_u.n_q().pow(3);
     let nq2 = mf_u.n_q() * mf_u.n_q();
     assert!(Arc::ptr_eq(&mf_u.geometry, &mf_p.geometry));
-    type CellBufs<T, const L: usize> =
-        (CellScratch<T, L>, CellScratch<T, L>, [Vec<Simd<T, L>>; DIM]);
-    let cell = |bi: usize, (su, sq, uq): &mut CellBufs<T, L>, out: &SharedMut<T>| {
+    let cell = |bi: usize,
+                (su, sq): &mut (CellScratch<T, L>, CellScratch<T, L>),
+                out: &SharedMut<T>| {
         let b = &mf_u.cell_batches[bi];
         let g = &mf_u.cell_geometry[bi];
-        for d in 0..DIM {
-            gather_cell(b, u, stride, d * dpc_u, dpc_u, &mut su.dofs);
-            evaluate_values(mf_u, su);
-            uq[d].copy_from_slice(&su.quad);
-        }
-        for q in 0..nq3 {
-            let jxw = g.jxw[q];
-            let m = &g.jinvt[q * 9..q * 9 + 9];
-            for c in 0..DIM {
-                sq.grad[c][q] =
-                    -(uq[0][q] * m[c] + uq[1][q] * m[3 + c] + uq[2][q] * m[6 + c]) * jxw;
+        // sq.grad[c] = −(Σ_d u_d J^{-T}_{dc}) · JxW, summed over d in order
+        read_cell(mf_u, bi, u, false, su, |d, su| {
+            for q in 0..nq3 {
+                let m = &g.jinvt[q * 9 + 3 * d..q * 9 + 3 * d + 3];
+                for c in 0..DIM {
+                    sq.grad[c][q] = sum_component(d, sq.grad[c][q], su.quad[q] * m[c], g.jxw[q]);
+                }
             }
-        }
+        });
         integrate(mf_p, sq, false, true);
-        scatter_add_cell(b, &sq.dofs, dpc_p, 0, dpc_p, out);
+        scatter_add_cells(&b.cells, b.n_filled, &sq.dofs, dpc_p, 0, dpc_p, out);
     };
-    type FaceBufs<T, const L: usize> = ([FaceScratch<T, L>; 4], Vec<Simd<T, L>>);
-    let face = |bi: usize, ([sm, sp, qm, qp], un_avg): &mut FaceBufs<T, L>, out: &SharedMut<T>| {
+    type FaceBufs<T, const L: usize> = ([FaceScratch<T, L>; 3], Vec<Simd<T, L>>);
+    let face = |bi: usize, ([sm, sp, sq], un_avg): &mut FaceBufs<T, L>, out: &SharedMut<T>| {
         let b = &mf_u.face_batches[bi];
         let g = &mf_u.face_geometry[bi];
         let cat = b.category;
-        let desc_m = FaceSideDesc::minus(b);
-        let desc_p = FaceSideDesc::plus(b);
+        if cat.is_boundary && bcs.kind(cat.boundary_id) == BcKind::Wall {
+            return; // mirror: {{u}} = 0
+        }
         un_avg.fill(Simd::zero());
         let half = T::from_f64(0.5);
-        for d in 0..DIM {
-            gather_face_cells(
-                &b.minus,
-                b.n_filled,
-                u,
-                stride,
-                d * dpc_u,
-                dpc_u,
-                &mut sm.dofs,
-            );
-            evaluate_face(mf_u, desc_m, false, sm);
-            if cat.is_boundary {
-                match bcs.kind(cat.boundary_id) {
-                    BcKind::Wall => { /* mirror: {{u}} = 0 */ }
-                    BcKind::Pressure => {
-                        for q in 0..nq2 {
-                            un_avg[q] += sm.val[q] * g.normal[q * 3 + d];
-                        }
-                    }
-                }
-            } else {
-                gather_face_cells(
-                    &b.plus,
-                    b.n_filled,
-                    u,
-                    stride,
-                    d * dpc_u,
-                    dpc_u,
-                    &mut sp.dofs,
-                );
-                evaluate_face(mf_u, desc_p, false, sp);
+        read_face(mf_u, bi, u, sm, sp, |d, m, p| match p {
+            Some(p) => {
                 for q in 0..nq2 {
-                    un_avg[q] += (sm.val[q] + sp.val[q]) * half * g.normal[q * 3 + d];
+                    un_avg[q] += (m[q] + p[q]) * half * g.normal[q * 3 + d];
                 }
             }
-        }
-        if cat.is_boundary && bcs.kind(cat.boundary_id) == BcKind::Wall {
-            return;
-        }
-        for q in 0..nq2 {
-            qm.val[q] = un_avg[q] * g.jxw[q];
-        }
-        if !cat.is_boundary {
-            for q in 0..nq2 {
-                qp.val[q] = -qm.val[q];
+            // pressure boundary: {{u}} = u⁻
+            None => {
+                for q in 0..nq2 {
+                    un_avg[q] += m[q] * g.normal[q * 3 + d];
+                }
             }
+        });
+        for q in 0..nq2 {
+            sq.val[q] = un_avg[q] * g.jxw[q];
         }
-        integrate_face(mf_p, desc_m, false, qm);
-        scatter_add_face_cells(&b.minus, b.n_filled, &qm.dofs, dpc_p, 0, dpc_p, out);
+        integrate_face(mf_p, FaceSideDesc::minus(b), false, sq);
+        scatter_add_cells(&b.minus, b.n_filled, &sq.dofs, dpc_p, 0, dpc_p, out);
         if !cat.is_boundary {
-            integrate_face(mf_p, desc_p, false, qp);
-            scatter_add_face_cells(&b.plus, b.n_filled, &qp.dofs, dpc_p, 0, dpc_p, out);
+            for v in sq.val.iter_mut() {
+                *v = -*v;
+            }
+            integrate_face(mf_p, FaceSideDesc::plus(b), false, sq);
+            scatter_add_cells(&b.plus, b.n_filled, &sq.dofs, dpc_p, 0, dpc_p, out);
         }
     };
     mf_u.loop_over(
         None,
         dst,
+        (|| (CellScratch::new(mf_u), CellScratch::new(mf_p)), cell),
         (
             || {
-                (
-                    CellScratch::new(mf_u),
-                    CellScratch::new(mf_p),
-                    component_buffers(nq3),
-                )
-            },
-            cell,
-        ),
-        (
-            || {
-                let s = [mf_u, mf_u, mf_p, mf_p].map(FaceScratch::new);
+                let s = [mf_u, mf_u, mf_p].map(FaceScratch::new);
                 (s, vec![Simd::zero(); nq2])
             },
             face,
@@ -283,111 +217,58 @@ pub fn gradient<T: Real, const L: usize>(
     p: &[T],
     dst: &mut [T],
 ) {
-    let dpc_u = mf_u.dofs_per_cell;
     let dpc_p = mf_p.dofs_per_cell;
-    let stride = ustride(mf_u);
     let nq3 = mf_u.n_q().pow(3);
     let nq2 = mf_u.n_q() * mf_u.n_q();
     assert!(Arc::ptr_eq(&mf_u.geometry, &mf_p.geometry));
-    type CellBufs<T, const L: usize> = (CellScratch<T, L>, CellScratch<T, L>, Vec<Simd<T, L>>);
-    let cell = |bi: usize, (su, sq, pq): &mut CellBufs<T, L>, out: &SharedMut<T>| {
-        let b = &mf_u.cell_batches[bi];
-        let g = &mf_u.cell_geometry[bi];
-        gather_cell(b, p, dpc_p, 0, dpc_p, &mut sq.dofs);
-        evaluate_values(mf_p, sq);
-        pq.copy_from_slice(&sq.quad);
-        for d in 0..DIM {
-            for q in 0..nq3 {
-                let jxw = g.jxw[q];
-                let m = &g.jinvt[q * 9..q * 9 + 9];
-                let s = -(pq[q] * jxw);
-                for c in 0..DIM {
-                    su.grad[c][q] = m[3 * d + c] * s;
-                }
-            }
-            integrate(mf_u, su, false, true);
-            scatter_add_cell(b, &su.dofs, stride, d * dpc_u, dpc_u, out);
-        }
-    };
-    type FaceBufs<T, const L: usize> = ([FaceScratch<T, L>; 4], Vec<Simd<T, L>>);
-    let face =
-        |bi: usize, ([su_m, su_p, qm, qp], p_avg): &mut FaceBufs<T, L>, out: &SharedMut<T>| {
-            let b = &mf_u.face_batches[bi];
-            let g = &mf_u.face_geometry[bi];
-            let cat = b.category;
-            let desc_m = FaceSideDesc::minus(b);
-            let desc_p = FaceSideDesc::plus(b);
-            gather_face_cells(&b.minus, b.n_filled, p, dpc_p, 0, dpc_p, &mut qm.dofs);
-            evaluate_face(mf_p, desc_m, false, qm);
-            if cat.is_boundary {
-                match bcs.kind(cat.boundary_id) {
-                    BcKind::Wall => p_avg.copy_from_slice(&qm.val),
-                    BcKind::Pressure => {
-                        let gp = T::from_f64(bcs.pressure(cat.boundary_id));
-                        p_avg.fill(Simd::splat(gp));
+    let cell =
+        |bi: usize, (su, sq): &mut (CellScratch<T, L>, CellScratch<T, L>), out: &SharedMut<T>| {
+            let b = &mf_u.cell_batches[bi];
+            let g = &mf_u.cell_geometry[bi];
+            gather_cells(&b.cells, b.n_filled, p, dpc_p, 0, dpc_p, &mut sq.dofs);
+            evaluate_values(mf_p, sq);
+            write_cell(mf_u, bi, su, out, |d, grad| {
+                for q in 0..nq3 {
+                    let m = &g.jinvt[q * 9..q * 9 + 9];
+                    let s = -(sq.quad[q] * g.jxw[q]);
+                    for c in 0..DIM {
+                        grad[c][q] = m[3 * d + c] * s;
                     }
                 }
-            } else {
-                gather_face_cells(&b.plus, b.n_filled, p, dpc_p, 0, dpc_p, &mut qp.dofs);
-                evaluate_face(mf_p, desc_p, false, qp);
-                let half = T::from_f64(0.5);
-                for q in 0..nq2 {
-                    p_avg[q] = (qm.val[q] + qp.val[q]) * half;
-                }
-            }
-            for d in 0..DIM {
-                for q in 0..nq2 {
-                    su_m.val[q] = p_avg[q] * g.normal[q * 3 + d] * g.jxw[q];
-                }
-                if !cat.is_boundary {
-                    for q in 0..nq2 {
-                        su_p.val[q] = -su_m.val[q];
-                    }
-                }
-                integrate_face(mf_u, desc_m, false, su_m);
-                scatter_add_face_cells(
-                    &b.minus,
-                    b.n_filled,
-                    &su_m.dofs,
-                    stride,
-                    d * dpc_u,
-                    dpc_u,
-                    out,
-                );
-                if !cat.is_boundary {
-                    integrate_face(mf_u, desc_p, false, su_p);
-                    scatter_add_face_cells(
-                        &b.plus,
-                        b.n_filled,
-                        &su_p.dofs,
-                        stride,
-                        d * dpc_u,
-                        dpc_u,
-                        out,
-                    );
-                }
-            }
+            });
         };
+    let face = |bi: usize, [su, qm, qp]: &mut [FaceScratch<T, L>; 3], out: &SharedMut<T>| {
+        let b = &mf_u.face_batches[bi];
+        let g = &mf_u.face_geometry[bi];
+        let cat = b.category;
+        // {{p}} into qm.val: p⁻ on walls, the prescribed g on pressure
+        // boundaries, the average of both traces inside
+        gather_cells(&b.minus, b.n_filled, p, dpc_p, 0, dpc_p, &mut qm.dofs);
+        evaluate_face(mf_p, FaceSideDesc::minus(b), false, qm);
+        if cat.is_boundary {
+            if bcs.kind(cat.boundary_id) == BcKind::Pressure {
+                let gp = T::from_f64(bcs.pressure(cat.boundary_id));
+                qm.val.fill(Simd::splat(gp));
+            }
+        } else {
+            gather_cells(&b.plus, b.n_filled, p, dpc_p, 0, dpc_p, &mut qp.dofs);
+            evaluate_face(mf_p, FaceSideDesc::plus(b), false, qp);
+            let half = T::from_f64(0.5);
+            for (m, &p) in qm.val.iter_mut().zip(&qp.val) {
+                *m = (*m + p) * half;
+            }
+        }
+        write_face(mf_u, bi, su, out, |d, val| {
+            for q in 0..nq2 {
+                val[q] = qm.val[q] * g.normal[q * 3 + d] * g.jxw[q];
+            }
+        });
+    };
     mf_u.loop_over(
         None,
         dst,
-        (
-            || {
-                (
-                    CellScratch::new(mf_u),
-                    CellScratch::new(mf_p),
-                    vec![Simd::zero(); nq3],
-                )
-            },
-            cell,
-        ),
-        (
-            || {
-                let s = [mf_u, mf_u, mf_p, mf_p].map(FaceScratch::new);
-                (s, vec![Simd::zero(); nq2])
-            },
-            face,
-        ),
+        (|| (CellScratch::new(mf_u), CellScratch::new(mf_p)), cell),
+        (|| [mf_u, mf_p, mf_p].map(FaceScratch::new), face),
     );
 }
 
@@ -500,13 +381,12 @@ impl<'a, T: Real, const L: usize> PenaltyOperator<'a, T, L> {
 
 impl<'a, T: Real, const L: usize> LinearOperator<T> for PenaltyOperator<'a, T, L> {
     fn len(&self) -> usize {
-        DIM * self.mf.n_dofs()
+        n_velocity_dofs(self.mf)
     }
 
     fn apply(&self, src: &[T], dst: &mut [T]) {
         let mf = self.mf;
         let dpc = mf.dofs_per_cell;
-        let stride = ustride(mf);
         let nq3 = mf.n_q().pow(3);
         let nq2 = mf.n_q() * mf.n_q();
         // mass part plus the div-div cell term
@@ -516,92 +396,58 @@ impl<'a, T: Real, const L: usize> LinearOperator<T> for PenaltyOperator<'a, T, L
             let b = &mf.cell_batches[bi];
             let g = &mf.cell_geometry[bi];
             for l in 0..b.n_filled {
-                let base = stride * b.cells[l] as usize;
-                for i in 0..DIM * dpc {
+                for_each_node(dpc, [b.cells[l] as usize], |j, node| {
                     // SAFETY: the loop runs concurrently only cell batches
                     // with disjoint cells, and this lane's cell is ours
-                    unsafe { out.write(base + i, src[base + i] * g.jxw[i % dpc][l]) };
-                }
+                    unsafe { out.write(j, src[j] * g.jxw[node % dpc][l]) };
+                });
             }
             let mut adiv = Simd::<T, L>::zero();
             for l in 0..b.n_filled {
                 adiv[l] = self.a_div[b.cells[l] as usize];
             }
             divu.fill(Simd::zero());
-            for d in 0..DIM {
-                gather_cell(b, src, stride, d * dpc, dpc, &mut s.dofs);
-                evaluate_values(mf, s);
-                evaluate_gradients(mf, s);
+            read_cell(mf, bi, src, true, s, |d, s| {
                 for q in 0..nq3 {
                     let m = &g.jinvt[q * 9..q * 9 + 9];
                     divu[q] += s.grad[0][q] * m[3 * d]
                         + s.grad[1][q] * m[3 * d + 1]
                         + s.grad[2][q] * m[3 * d + 2];
                 }
-            }
-            for d in 0..DIM {
+            });
+            write_cell(mf, bi, s, out, |d, grad| {
                 for q in 0..nq3 {
                     let m = &g.jinvt[q * 9..q * 9 + 9];
                     let t = divu[q] * adiv * self.dt * g.jxw[q];
                     for c in 0..DIM {
-                        s.grad[c][q] = m[3 * d + c] * t;
+                        grad[c][q] = m[3 * d + c] * t;
                     }
                 }
-                integrate(mf, s, false, true);
-                scatter_add_cell(b, &s.dofs, stride, d * dpc, dpc, out);
-            }
+            });
         };
         // normal-continuity face term (interior faces only)
-        type FaceBufs<T, const L: usize> = (
-            FaceScratch<T, L>,
-            FaceScratch<T, L>,
-            Vec<Simd<T, L>>,
-            [[Vec<Simd<T, L>>; DIM]; 2],
-        );
-        let face = |bi: usize,
-                    (sm, sp, jump_n, [um, up]): &mut FaceBufs<T, L>,
-                    out: &SharedMut<T>| {
-            let b = &mf.face_batches[bi];
-            if b.category.is_boundary {
+        type FaceBufs<T, const L: usize> = (FaceScratch<T, L>, FaceScratch<T, L>, Vec<Simd<T, L>>);
+        let face = |bi: usize, (sm, sp, jump_n): &mut FaceBufs<T, L>, out: &SharedMut<T>| {
+            if mf.face_batches[bi].category.is_boundary {
                 return;
             }
             let g = &mf.face_geometry[bi];
-            let desc_m = FaceSideDesc::minus(b);
-            let desc_p = FaceSideDesc::plus(b);
-            for d in 0..DIM {
-                gather_face_cells(
-                    &b.minus,
-                    b.n_filled,
-                    src,
-                    stride,
-                    d * dpc,
-                    dpc,
-                    &mut sm.dofs,
-                );
-                evaluate_face(mf, desc_m, false, sm);
-                um[d].copy_from_slice(&sm.val);
-                gather_face_cells(&b.plus, b.n_filled, src, stride, d * dpc, dpc, &mut sp.dofs);
-                evaluate_face(mf, desc_p, false, sp);
-                up[d].copy_from_slice(&sp.val);
-            }
+            jump_n.fill(Simd::zero());
+            read_face(mf, bi, src, sm, sp, |d, m, p| {
+                let p = p.expect("interior face");
+                for q in 0..nq2 {
+                    jump_n[q] += (m[q] - p[q]) * g.normal[q * 3 + d];
+                }
+            });
             let ac = self.a_cont[bi];
             for q in 0..nq2 {
-                let mut j = Simd::<T, L>::zero();
-                for d in 0..DIM {
-                    j += (um[d][q] - up[d][q]) * g.normal[q * 3 + d];
-                }
-                jump_n[q] = j * ac * self.dt * g.jxw[q];
+                jump_n[q] = jump_n[q] * ac * self.dt * g.jxw[q];
             }
-            for d in 0..DIM {
+            write_face(mf, bi, sm, out, |d, val| {
                 for q in 0..nq2 {
-                    sm.val[q] = jump_n[q] * g.normal[q * 3 + d];
-                    sp.val[q] = -sm.val[q];
+                    val[q] = jump_n[q] * g.normal[q * 3 + d];
                 }
-                integrate_face(mf, desc_m, false, sm);
-                scatter_add_face_cells(&b.minus, b.n_filled, &sm.dofs, stride, d * dpc, dpc, out);
-                integrate_face(mf, desc_p, false, sp);
-                scatter_add_face_cells(&b.plus, b.n_filled, &sp.dofs, stride, d * dpc, dpc, out);
-            }
+            });
         };
         mf.loop_over(
             None,
@@ -609,13 +455,8 @@ impl<'a, T: Real, const L: usize> LinearOperator<T> for PenaltyOperator<'a, T, L
             (|| (CellScratch::new(mf), vec![Simd::zero(); nq3]), cell),
             (
                 || {
-                    let bufs = [component_buffers(nq2), component_buffers(nq2)];
-                    (
-                        FaceScratch::new(mf),
-                        FaceScratch::new(mf),
-                        vec![Simd::zero(); nq2],
-                        bufs,
-                    )
+                    let (sm, sp) = (FaceScratch::new(mf), FaceScratch::new(mf));
+                    (sm, sp, vec![Simd::zero(); nq2])
                 },
                 face,
             ),
@@ -626,20 +467,9 @@ impl<'a, T: Real, const L: usize> LinearOperator<T> for PenaltyOperator<'a, T, L
         // mass-dominated; the penalty contribution is modest — the mass
         // diagonal is the standard preconditioner for this solve
         let mf = self.mf;
-        let dpc = mf.dofs_per_cell;
-        let stride = ustride(mf);
-        let mut diag = vec![T::ZERO; DIM * mf.n_dofs()];
-        for (bi, b) in mf.cell_batches.iter().enumerate() {
-            let g = &mf.cell_geometry[bi];
-            for l in 0..b.n_filled {
-                let base = stride * b.cells[l] as usize;
-                for d in 0..DIM {
-                    for i in 0..dpc {
-                        diag[base + d * dpc + i] = g.jxw[i][l];
-                    }
-                }
-            }
-        }
+        let w = MassOperator::new(mf).weights();
+        let mut diag = vec![T::ZERO; self.len()];
+        for_each_node(mf.dofs_per_cell, 0..mf.n_cells, |j, node| diag[j] = w[node]);
         diag
     }
 }
@@ -651,10 +481,8 @@ pub fn boundary_flow_rate<T: Real, const L: usize>(
     boundary_id: u32,
     u: &[T],
 ) -> f64 {
-    let dpc = mf.dofs_per_cell;
-    let stride = ustride(mf);
     let nq2 = mf.n_q() * mf.n_q();
-    let mut sm = FaceScratch::<T, L>::new(mf);
+    let (mut sm, mut sp) = (FaceScratch::<T, L>::new(mf), FaceScratch::<T, L>::new(mf));
     let mut total = 0.0;
     for (bi, b) in mf.face_batches.iter().enumerate() {
         let cat = b.category;
@@ -662,17 +490,14 @@ pub fn boundary_flow_rate<T: Real, const L: usize>(
             continue;
         }
         let g = &mf.face_geometry[bi];
-        let desc = FaceSideDesc::minus(b);
-        for d in 0..DIM {
-            gather_face_cells(&b.minus, b.n_filled, u, stride, d * dpc, dpc, &mut sm.dofs);
-            evaluate_face(mf, desc, false, &mut sm);
+        read_face(mf, bi, u, &mut sm, &mut sp, |d, m, _| {
             for q in 0..nq2 {
-                let c = sm.val[q] * g.normal[q * 3 + d] * g.jxw[q];
+                let c = m[q] * g.normal[q * 3 + d] * g.jxw[q];
                 for l in 0..b.n_filled {
                     total += c[l].to_f64();
                 }
             }
-        }
+        });
     }
     total
 }

@@ -8,13 +8,14 @@
 //! current velocity field and SIPG diffusion integrated implicitly —
 //! the same IMEX splitting as the momentum equation.
 
-use crate::field::DIM;
-use crate::operators::HelmholtzOperator;
+use crate::field::{read_cell, read_face, DIM};
+use crate::operators::{sum_component, HelmholtzOperator};
 use crate::timeint::BdfCoefficients;
 use dgflow_fem::evaluator::{
-    evaluate_face, evaluate_values, gather_cell, gather_face_cells, integrate, integrate_face,
-    scatter_add_cell, scatter_add_face_cells, CellScratch, FaceScratch, FaceSideDesc,
+    evaluate_face, evaluate_values, gather_cells, integrate, integrate_face, scatter_add_cells,
+    CellScratch, FaceScratch, FaceSideDesc,
 };
+use dgflow_fem::operators::for_each_point;
 use dgflow_fem::util::SharedMut;
 use dgflow_fem::{BoundaryCondition, LaplaceOperator, MassOperator, MatrixFree};
 use dgflow_simd::Simd;
@@ -41,44 +42,34 @@ pub fn advect_term<const L: usize>(
 ) {
     assert!(mf.collocated());
     let dpc = mf.dofs_per_cell;
-    let stride_u = DIM * dpc;
     let nq3 = mf.n_q().pow(3);
     let nq2 = mf.n_q() * mf.n_q();
     let bc_of = |id: u32| bcs.get(id as usize).copied().unwrap_or(ScalarBc::Outflow);
-    let qvec = |n: usize| vec![Simd::<f64, L>::zero(); n];
 
     // cells: -(∇q, c u)
-    type CellBufs<const L: usize> = (CellScratch<f64, L>, [Vec<Simd<f64, L>>; 4]);
-    let cell = |bi: usize, (s, [cq, uq @ ..]): &mut CellBufs<L>, out: &SharedMut<f64>| {
+    type CellBufs<const L: usize> = (CellScratch<f64, L>, CellScratch<f64, L>);
+    let cell = |bi: usize, (sc, su): &mut CellBufs<L>, out: &SharedMut<f64>| {
         let b = &mf.cell_batches[bi];
         let g = &mf.cell_geometry[bi];
-        gather_cell(b, c, dpc, 0, dpc, &mut s.dofs);
-        evaluate_values(mf, s);
-        cq.copy_from_slice(&s.quad);
-        for d in 0..DIM {
-            gather_cell(b, u, stride_u, d * dpc, dpc, &mut s.dofs);
-            evaluate_values(mf, s);
-            uq[d].copy_from_slice(&s.quad);
-        }
-        for q in 0..nq3 {
-            let jxw = g.jxw[q];
-            let m = &g.jinvt[q * 9..q * 9 + 9];
-            let f = [cq[q] * uq[0][q], cq[q] * uq[1][q], cq[q] * uq[2][q]];
-            for cc in 0..DIM {
-                s.grad[cc][q] = -(f[0] * m[cc] + f[1] * m[3 + cc] + f[2] * m[6 + cc]) * jxw;
+        gather_cells(&b.cells, b.n_filled, c, dpc, 0, dpc, &mut sc.dofs);
+        evaluate_values(mf, sc);
+        // sc.grad[k] = −(Σ_d c u_d J^{-T}_{dk}) · JxW, summed over d in order
+        read_cell(mf, bi, u, false, su, |d, su| {
+            for q in 0..nq3 {
+                let m = &g.jinvt[q * 9 + 3 * d..q * 9 + 3 * d + 3];
+                let f = sc.quad[q] * su.quad[q];
+                for k in 0..DIM {
+                    sc.grad[k][q] = sum_component(d, sc.grad[k][q], f * m[k], g.jxw[q]);
+                }
             }
-        }
-        integrate(mf, s, false, true);
-        scatter_add_cell(b, &s.dofs, dpc, 0, dpc, out);
+        });
+        integrate(mf, sc, false, true);
+        scatter_add_cells(&b.cells, b.n_filled, &sc.dofs, dpc, 0, dpc, out);
     };
 
     // faces: upwind flux ĉ (u·n)
-    type FaceBufs<const L: usize> = (
-        FaceScratch<f64, L>,
-        FaceScratch<f64, L>,
-        [Vec<Simd<f64, L>>; 3],
-    );
-    let face = |bi: usize, (sm, sp, [cm, cp, un]): &mut FaceBufs<L>, out: &SharedMut<f64>| {
+    type FaceBufs<const L: usize> = (FaceScratch<f64, L>, FaceScratch<f64, L>, Vec<Simd<f64, L>>);
+    let face = |bi: usize, (sm, sp, un): &mut FaceBufs<L>, out: &SharedMut<f64>| {
         let b = &mf.face_batches[bi];
         let g = &mf.face_geometry[bi];
         let cat = b.category;
@@ -86,33 +77,21 @@ pub fn advect_term<const L: usize>(
         let desc_p = FaceSideDesc::plus(b);
         // normal velocity (average of the two traces)
         un.fill(Simd::zero());
-        for d in 0..DIM {
-            gather_face_cells(
-                &b.minus,
-                b.n_filled,
-                u,
-                stride_u,
-                d * dpc,
-                dpc,
-                &mut sm.dofs,
-            );
-            evaluate_face(mf, desc_m, false, sm);
-            if cat.is_boundary {
+        read_face(mf, bi, u, sm, sp, |d, m, p| match p {
+            Some(p) => {
                 for q in 0..nq2 {
-                    un[q] += sm.val[q] * g.normal[q * 3 + d];
-                }
-            } else {
-                gather_face_cells(&b.plus, b.n_filled, u, stride_u, d * dpc, dpc, &mut sp.dofs);
-                evaluate_face(mf, desc_p, false, sp);
-                for q in 0..nq2 {
-                    un[q] += (sm.val[q] + sp.val[q]) * Simd::splat(0.5) * g.normal[q * 3 + d];
+                    un[q] += (m[q] + p[q]) * Simd::splat(0.5) * g.normal[q * 3 + d];
                 }
             }
-        }
-        // scalar traces
-        gather_face_cells(&b.minus, b.n_filled, c, dpc, 0, dpc, &mut sm.dofs);
+            None => {
+                for q in 0..nq2 {
+                    un[q] += m[q] * g.normal[q * 3 + d];
+                }
+            }
+        });
+        // scalar traces c⁻ (in sm.val) and c⁺ (in sp.val)
+        gather_cells(&b.minus, b.n_filled, c, dpc, 0, dpc, &mut sm.dofs);
         evaluate_face(mf, desc_m, false, sm);
-        cm.copy_from_slice(&sm.val);
         if cat.is_boundary {
             match bc_of(cat.boundary_id) {
                 ScalarBc::Dirichlet(value) => {
@@ -120,46 +99,39 @@ pub fn advect_term<const L: usize>(
                     // flow enters, the interior trace where it exits
                     for q in 0..nq2 {
                         for l in 0..b.n_filled {
-                            cp[q][l] = if un[q][l] < 0.0 { value } else { cm[q][l] };
+                            sp.val[q][l] = if un[q][l] < 0.0 { value } else { sm.val[q][l] };
                         }
                     }
                 }
-                ScalarBc::Outflow => cp.copy_from_slice(cm),
+                ScalarBc::Outflow => sp.val.copy_from_slice(&sm.val),
             }
         } else {
-            gather_face_cells(&b.plus, b.n_filled, c, dpc, 0, dpc, &mut sp.dofs);
+            gather_cells(&b.plus, b.n_filled, c, dpc, 0, dpc, &mut sp.dofs);
             evaluate_face(mf, desc_p, false, sp);
-            cp.copy_from_slice(&sp.val);
         }
         // upwind flux: ĉ u·n = {{c}} u·n + |u·n|/2 [[c]]
         for q in 0..nq2 {
-            let avg = (cm[q] + cp[q]) * Simd::splat(0.5);
-            let jump = cm[q] - cp[q];
+            let avg = (sm.val[q] + sp.val[q]) * Simd::splat(0.5);
+            let jump = sm.val[q] - sp.val[q];
             let flux = (avg * un[q] + un[q].abs() * Simd::splat(0.5) * jump) * g.jxw[q];
             sm.val[q] = flux;
             sp.val[q] = -flux;
         }
         integrate_face(mf, desc_m, false, sm);
-        scatter_add_face_cells(&b.minus, b.n_filled, &sm.dofs, dpc, 0, dpc, out);
+        scatter_add_cells(&b.minus, b.n_filled, &sm.dofs, dpc, 0, dpc, out);
         if !cat.is_boundary {
             integrate_face(mf, desc_p, false, sp);
-            scatter_add_face_cells(&b.plus, b.n_filled, &sp.dofs, dpc, 0, dpc, out);
+            scatter_add_cells(&b.plus, b.n_filled, &sp.dofs, dpc, 0, dpc, out);
         }
     };
     mf.loop_over(
         None,
         dst,
-        (
-            || (CellScratch::new(mf), std::array::from_fn(|_| qvec(nq3))),
-            cell,
-        ),
+        (|| (CellScratch::new(mf), CellScratch::new(mf)), cell),
         (
             || {
-                (
-                    FaceScratch::new(mf),
-                    FaceScratch::new(mf),
-                    std::array::from_fn(|_| qvec(nq2)),
-                )
+                let (sm, sp) = (FaceScratch::new(mf), FaceScratch::new(mf));
+                (sm, sp, vec![Simd::zero(); nq2])
             },
             face,
         ),
@@ -263,15 +235,9 @@ impl<const L: usize> ScalarTransport<L> {
     pub fn total_mass(&self) -> f64 {
         let dpc = self.mf.dofs_per_cell;
         let mut total = 0.0;
-        for (bi, b) in self.mf.cell_batches.iter().enumerate() {
-            let g = &self.mf.cell_geometry[bi];
-            for l in 0..b.n_filled {
-                let base = dpc * b.cells[l] as usize;
-                for i in 0..dpc {
-                    total += self.concentration[base + i] * g.jxw[i][l];
-                }
-            }
-        }
+        for_each_point(&self.mf, |c, i, _, jxw| {
+            total += self.concentration[c * dpc + i] * jxw;
+        });
         total
     }
 }

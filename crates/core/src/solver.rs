@@ -5,7 +5,7 @@
 //! initial guesses.
 
 use crate::bc::FlowBcs;
-use crate::field::{cell_velocity_scale, n_velocity_dofs, DIM};
+use crate::field::{cell_velocity_scale, for_each_node, n_velocity_dofs, DIM};
 use crate::operators::{convective_term, divergence, gradient, HelmholtzOperator, PenaltyOperator};
 use crate::timeint::{BdfCoefficients, CflController};
 use dgflow_fem::{LaplaceOperator, Mapping, MassOperator, MatrixFree, MfParams};
@@ -265,6 +265,8 @@ impl<const L: usize> FlowSolver<L> {
             BdfCoefficients::bdf2(dt / self.dt_old)
         };
         let n_u = self.velocity.len();
+        let (dpc, n_cells) = (self.mf_u.dofs_per_cell, self.mf_u.n_cells);
+        let inv_mass = &self.inv_mass_scalar;
         let gamma_dt = coeff.gamma0 / dt;
 
         // (1) explicit convective step
@@ -272,28 +274,16 @@ impl<const L: usize> FlowSolver<L> {
         let mut conv = vec![0.0; n_u];
         convective_term(&self.mf_u, &self.bcs, &self.velocity, &mut conv);
         let mut u_hat = vec![0.0; n_u];
-        {
-            // fused single pass: BDF combination, M⁻¹, and the û update —
-            // one read of conv/conv_old/velocity/velocity_old per element
-            // instead of three full-vector sweeps (the per-element operation
-            // order matches the unfused passes exactly).
-            let dpc = self.mf_u.dofs_per_cell;
-            for c in 0..self.mf_u.n_cells {
-                for d in 0..DIM {
-                    let base = c * DIM * dpc + d * dpc;
-                    let wbase = c * dpc;
-                    for i in 0..dpc {
-                        let j = base + i;
-                        let r = (coeff.beta[0] * conv[j] + coeff.beta[1] * self.conv_old[j])
-                            * self.inv_mass_scalar[wbase + i];
-                        u_hat[j] = (coeff.alpha[0] * self.velocity[j]
-                            + coeff.alpha[1] * self.velocity_old[j]
-                            - dt * r)
-                            / coeff.gamma0;
-                    }
-                }
-            }
-        }
+        // fused single pass: BDF combination, M⁻¹, and the û update — one
+        // read of conv/conv_old/velocity/velocity_old per element instead
+        // of three full-vector sweeps (the per-element operation order
+        // matches the unfused passes exactly).
+        for_each_node(dpc, 0..n_cells, |j, node| {
+            let r = (coeff.beta[0] * conv[j] + coeff.beta[1] * self.conv_old[j]) * inv_mass[node];
+            u_hat[j] = (coeff.alpha[0] * self.velocity[j] + coeff.alpha[1] * self.velocity_old[j]
+                - dt * r)
+                / coeff.gamma0;
+        });
 
         let convective_seconds = sp_stage.finish();
 
@@ -330,21 +320,11 @@ impl<const L: usize> FlowSolver<L> {
         let sp_stage = dgflow_trace::span_timed("core", "step.projection");
         let mut gp = vec![0.0; n_u];
         gradient(&self.mf_u, &self.mf_p, &self.bcs, &self.pressure, &mut gp);
-        {
-            // fused M⁻¹ + projection update, same per-element order as the
-            // separate passes.
-            let dpc = self.mf_u.dofs_per_cell;
-            for c in 0..self.mf_u.n_cells {
-                for d in 0..DIM {
-                    let base = c * DIM * dpc + d * dpc;
-                    let wbase = c * dpc;
-                    for i in 0..dpc {
-                        let j = base + i;
-                        u_hat[j] -= dt / coeff.gamma0 * (gp[j] * self.inv_mass_scalar[wbase + i]);
-                    }
-                }
-            }
-        }
+        // fused M⁻¹ + projection update, same per-element order as the
+        // separate passes.
+        for_each_node(dpc, 0..n_cells, |j, node| {
+            u_hat[j] -= dt / coeff.gamma0 * (gp[j] * inv_mass[node]);
+        });
         let projection_seconds = sp_stage.finish();
 
         // (4) viscous step, component by component
@@ -352,7 +332,6 @@ impl<const L: usize> FlowSolver<L> {
         self.helmholtz.set_factor(gamma_dt);
         let hh_diag = dgflow_solvers::LinearOperator::diagonal(&self.helmholtz);
         let hh_jacobi = JacobiPreconditioner::new(hh_diag);
-        let dpc = self.mf_u.dofs_per_cell;
         let mut viscous_iterations = 0;
         let mut u_star = vec![0.0; n_u];
         {
@@ -390,19 +369,9 @@ impl<const L: usize> FlowSolver<L> {
             self.params.zeta_div,
             self.params.zeta_cont,
         );
+        // M u*
         let mut pen_rhs = u_star.clone();
-        {
-            // M u*
-            let n_cells = self.mf_u.n_cells;
-            for c in 0..n_cells {
-                for d in 0..DIM {
-                    let base = c * DIM * dpc + d * dpc;
-                    for i in 0..dpc {
-                        pen_rhs[base + i] /= self.inv_mass_scalar[c * dpc + i];
-                    }
-                }
-            }
-        }
+        for_each_node(dpc, 0..n_cells, |j, node| pen_rhs[j] /= inv_mass[node]);
         let pen_pre = JacobiPreconditioner::new(dgflow_solvers::LinearOperator::diagonal(&pen));
         let mut u_new = u_star.clone();
         let pres_pen = cg_solve(

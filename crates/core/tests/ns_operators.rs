@@ -3,6 +3,7 @@
 use dgflow_core::bc::{BcKind, FlowBcs};
 use dgflow_core::field::interpolate_velocity;
 use dgflow_core::operators::{boundary_flow_rate, convective_term, divergence, gradient};
+use dgflow_core::scalar::{advect_term, ScalarBc};
 use dgflow_fem::operators::{integrate_rhs, interpolate_nodal};
 use dgflow_fem::{MatrixFree, MfParams};
 use dgflow_mesh::{CoarseMesh, Forest, TrilinearManifold};
@@ -92,23 +93,53 @@ fn convective_exactness_on_linear_fields() {
     }
 }
 
+/// The scalar advection term applied to a linear concentration in a
+/// constant velocity must exactly reproduce the weak form of `u·∇c` —
+/// jumps vanish so the upwind dissipation drops out, the outflow closure
+/// passes the interior trace through, and all integrands are polynomial.
+#[test]
+fn advect_exactness_on_linear_fields() {
+    let u_const = [0.7, -1.3, 0.4];
+    let c_fn = |x: [f64; 3]| 0.5 + 2.0 * x[0] - x[1] + 0.25 * x[2];
+    let grad_c = [2.0, -1.0, 0.25];
+    let u_dot_grad_c: f64 = (0..3).map(|d| u_const[d] * grad_c[d]).sum();
+    for forest in [cube(1), hanging()] {
+        let (mf_u, _) = spaces(&forest, 2);
+        let u = interpolate_velocity(&mf_u, &|_| u_const);
+        let c = interpolate_nodal(&mf_u, &c_fn);
+        let mut a = vec![0.0; c.len()];
+        advect_term(&mf_u, &[ScalarBc::Outflow], &u, &c, &mut a);
+        let expect = integrate_rhs(&mf_u, &|_| u_dot_grad_c);
+        let scale = expect.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for (i, (got, want)) in a.iter().zip(&expect).enumerate() {
+            assert!(
+                (got - want).abs() < 1e-11 * scale,
+                "dof {i}: {got} vs {want}"
+            );
+        }
+    }
+}
+
 /// Discrete Gauss theorem: `1ᵀ D(u) = ∮ u·n` when the boundary closure
-/// passes the interior trace through (all-pressure boundaries).
+/// passes the interior trace through (all-pressure boundaries), and
+/// `1ᵀ D(u) = 0` when walls mirror the normal velocity.
 #[test]
 fn divergence_satisfies_gauss_theorem() {
     for forest in [cube(1), hanging()] {
         let (mf_u, mf_p) = spaces(&forest, 3);
-        let bcs = FlowBcs::new(vec![BcKind::Pressure]);
         let u_fn = |x: [f64; 3]| [x[0] * x[1], -x[1] + x[2] * x[2], 0.3 * x[0]];
         let u = interpolate_velocity(&mf_u, &u_fn);
-        let mut d = vec![0.0; mf_p.n_dofs()];
-        divergence(&mf_u, &mf_p, &bcs, &u, &mut d);
-        let total: f64 = d.iter().sum();
         let outflow = boundary_flow_rate(&mf_u, 0, &u);
-        assert!(
-            (total - outflow).abs() < 1e-11 * outflow.abs().max(1.0),
-            "∫div = {total} vs ∮u·n = {outflow}"
-        );
+        let open = FlowBcs::new(vec![BcKind::Pressure]);
+        for (bcs, want) in [(open, outflow), (FlowBcs::walls(), 0.0)] {
+            let mut d = vec![0.0; mf_p.n_dofs()];
+            divergence(&mf_u, &mf_p, &bcs, &u, &mut d);
+            let total: f64 = d.iter().sum();
+            assert!(
+                (total - want).abs() < 1e-11 * want.abs().max(1.0),
+                "∫div = {total} vs ∮u·n = {want} ({bcs:?})"
+            );
+        }
     }
 }
 
@@ -117,29 +148,31 @@ fn divergence_satisfies_gauss_theorem() {
 /// with zero boundary normal trace, `⟨G p, u⟩ = −⟨p, D u⟩`.
 #[test]
 fn gradient_divergence_duality() {
-    let forest = cube(1);
-    let (mf_u, mf_p) = spaces(&forest, 3);
-    let bcs = FlowBcs::walls();
-    // bubble velocity: zero trace on the whole boundary
-    let bubble = |x: [f64; 3]| {
-        let b = x[0] * (1.0 - x[0]) * x[1] * (1.0 - x[1]) * x[2] * (1.0 - x[2]);
-        [b, -2.0 * b, 0.5 * b]
-    };
-    let u = interpolate_velocity(&mf_u, &bubble);
-    let p = interpolate_nodal(&mf_p, &|x| 1.0 + x[0] - 0.5 * x[1] * x[2]);
-    let mut gp = vec![0.0; u.len()];
-    gradient(&mf_u, &mf_p, &bcs, &p, &mut gp);
-    let mut du = vec![0.0; p.len()];
-    divergence(&mf_u, &mf_p, &bcs, &u, &mut du);
-    let a: f64 = gp.iter().zip(&u).map(|(x, y)| x * y).sum();
-    let b: f64 = p.iter().zip(&du).map(|(x, y)| x * y).sum();
-    // the bubble's trace is only *interpolatorily* zero on the Gauss-nodal
-    // trace (it is exactly zero as a polynomial), so the identity is exact
-    // up to roundoff
-    assert!(
-        (a + b).abs() < 1e-10 * a.abs().max(1.0),
-        "⟨Gp,u⟩ = {a}, ⟨p,Du⟩ = {b}"
-    );
+    // the hanging cube covers the mixed-order subface path
+    for forest in [cube(1), hanging()] {
+        let (mf_u, mf_p) = spaces(&forest, 3);
+        let bcs = FlowBcs::walls();
+        // bubble velocity: zero trace on the whole boundary
+        let bubble = |x: [f64; 3]| {
+            let b = x[0] * (1.0 - x[0]) * x[1] * (1.0 - x[1]) * x[2] * (1.0 - x[2]);
+            [b, -2.0 * b, 0.5 * b]
+        };
+        let u = interpolate_velocity(&mf_u, &bubble);
+        let p = interpolate_nodal(&mf_p, &|x| 1.0 + x[0] - 0.5 * x[1] * x[2]);
+        let mut gp = vec![0.0; u.len()];
+        gradient(&mf_u, &mf_p, &bcs, &p, &mut gp);
+        let mut du = vec![0.0; p.len()];
+        divergence(&mf_u, &mf_p, &bcs, &u, &mut du);
+        let a: f64 = gp.iter().zip(&u).map(|(x, y)| x * y).sum();
+        let b: f64 = p.iter().zip(&du).map(|(x, y)| x * y).sum();
+        // the bubble's trace is only *interpolatorily* zero on the
+        // Gauss-nodal trace (it is exactly zero as a polynomial), so the
+        // identity is exact up to roundoff
+        assert!(
+            (a + b).abs() < 1e-10 * a.abs().max(1.0),
+            "⟨Gp,u⟩ = {a}, ⟨p,Du⟩ = {b}"
+        );
+    }
 }
 
 /// The pressure gradient of a constant field must vanish against interior
@@ -157,16 +190,24 @@ fn gradient_of_constant_pressure_with_matching_bc() {
     assert!(max < 1e-11, "G(const) = {max}");
 }
 
-/// Flow rate of a uniform field through the cube boundary is zero (in =
+/// Flow rate of a uniform field through the box boundary is zero (in =
 /// out), and through one face equals the face area times the normal
 /// component.
 #[test]
 fn boundary_flow_rate_measures_flux() {
-    let forest = cube(1);
+    // 2×1×1 box: inlet x = 0 (id 1), outlet x = 2 (id 2), walls (id 0)
+    let mut coarse = CoarseMesh::subdivided_box([2, 1, 1], [2.0, 1.0, 1.0]);
+    coarse.boundary_ids.insert((0, 0), 1);
+    coarse.boundary_ids.insert((1, 1), 2);
+    let mut forest = Forest::new(coarse);
+    forest.refine_global(1);
     let (mf_u, _) = spaces(&forest, 2);
     let u = interpolate_velocity(&mf_u, &|_| [1.0, 0.0, 0.0]);
-    let q = boundary_flow_rate(&mf_u, 0, &u);
-    assert!(q.abs() < 1e-12, "net flux {q}");
+    let q: Vec<f64> = (0..3).map(|id| boundary_flow_rate(&mf_u, id, &u)).collect();
+    for (id, want) in [(0, 0.0), (1, -1.0), (2, 1.0)] {
+        assert!((q[id] - want).abs() < 1e-12, "id {id}: {} vs {want}", q[id]);
+    }
+    assert!(q.iter().sum::<f64>().abs() < 1e-12, "net flux {q:?}");
 }
 
 /// The Helmholtz operator of the viscous step (4): manufactured-solution

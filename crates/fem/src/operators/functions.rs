@@ -3,29 +3,37 @@
 use crate::matrixfree::MatrixFree;
 use dgflow_simd::Real;
 
+/// Visit every node of a collocated space with its position and mass
+/// weight: `f(cell, node, x, JxW)`, batch by batch and lane by lane.
+pub fn for_each_point<T: Real, const L: usize>(
+    mf: &MatrixFree<T, L>,
+    mut f: impl FnMut(usize, usize, [f64; 3], T),
+) {
+    assert!(
+        mf.collocated(),
+        "nodal point loops assume the collocated basis"
+    );
+    for (b, g) in mf.cell_batches.iter().zip(&mf.cell_geometry) {
+        for l in 0..b.n_filled {
+            // exact chunks let an unused position compile away
+            let points = g.positions.chunks_exact(3).zip(&g.jxw);
+            for (i, (p, jxw)) in points.enumerate() {
+                let x = [p[0][l].to_f64(), p[1][l].to_f64(), p[2][l].to_f64()];
+                f(b.cells[l] as usize, i, x, jxw[l]);
+            }
+        }
+    }
+}
+
 /// Interpolate a scalar function into the collocated DG space (which is
 /// also its quadrature-exact L² projection for this basis).
 pub fn interpolate<T: Real, const L: usize>(
     mf: &MatrixFree<T, L>,
     f: &(dyn Fn([f64; 3]) -> f64 + Sync),
 ) -> Vec<T> {
-    assert!(mf.collocated());
     let dpc = mf.dofs_per_cell;
     let mut v = vec![T::ZERO; mf.n_dofs()];
-    for (bi, b) in mf.cell_batches.iter().enumerate() {
-        let g = &mf.cell_geometry[bi];
-        for l in 0..b.n_filled {
-            let base = dpc * b.cells[l] as usize;
-            for i in 0..dpc {
-                let x = [
-                    g.positions[i * 3][l].to_f64(),
-                    g.positions[i * 3 + 1][l].to_f64(),
-                    g.positions[i * 3 + 2][l].to_f64(),
-                ];
-                v[base + i] = T::from_f64(f(x));
-            }
-        }
-    }
+    for_each_point(mf, |c, i, x, _| v[c * dpc + i] = T::from_f64(f(x)));
     v
 }
 
@@ -35,23 +43,9 @@ pub fn integrate_rhs<T: Real, const L: usize>(
     mf: &MatrixFree<T, L>,
     f: &(dyn Fn([f64; 3]) -> f64 + Sync),
 ) -> Vec<T> {
-    assert!(mf.collocated());
     let dpc = mf.dofs_per_cell;
     let mut v = vec![T::ZERO; mf.n_dofs()];
-    for (bi, b) in mf.cell_batches.iter().enumerate() {
-        let g = &mf.cell_geometry[bi];
-        for l in 0..b.n_filled {
-            let base = dpc * b.cells[l] as usize;
-            for i in 0..dpc {
-                let x = [
-                    g.positions[i * 3][l].to_f64(),
-                    g.positions[i * 3 + 1][l].to_f64(),
-                    g.positions[i * 3 + 2][l].to_f64(),
-                ];
-                v[base + i] = T::from_f64(f(x)) * g.jxw[i][l];
-            }
-        }
-    }
+    for_each_point(mf, |c, i, x, jxw| v[c * dpc + i] = T::from_f64(f(x)) * jxw);
     v
 }
 
@@ -80,23 +74,11 @@ pub fn l2_error<T: Real, const L: usize>(
     v: &[T],
     exact: &(dyn Fn([f64; 3]) -> f64 + Sync),
 ) -> f64 {
-    assert!(mf.collocated(), "error norms assume the collocated basis");
     let dpc = mf.dofs_per_cell;
     let mut err2 = 0.0;
-    for (bi, b) in mf.cell_batches.iter().enumerate() {
-        let g = &mf.cell_geometry[bi];
-        for l in 0..b.n_filled {
-            let base = dpc * b.cells[l] as usize;
-            for i in 0..dpc {
-                let x = [
-                    g.positions[i * 3][l].to_f64(),
-                    g.positions[i * 3 + 1][l].to_f64(),
-                    g.positions[i * 3 + 2][l].to_f64(),
-                ];
-                let d = v[base + i].to_f64() - exact(x);
-                err2 += d * d * g.jxw[i][l].to_f64();
-            }
-        }
-    }
+    for_each_point(mf, |c, i, x, jxw| {
+        let d = v[c * dpc + i].to_f64() - exact(x);
+        err2 += d * d * jxw.to_f64();
+    });
     err2.sqrt()
 }

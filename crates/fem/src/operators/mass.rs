@@ -6,6 +6,7 @@
 //! penalty CG solves).
 
 use crate::matrixfree::MatrixFree;
+use crate::operators::functions::for_each_point;
 use dgflow_simd::Real;
 use dgflow_solvers::LinearOperator;
 
@@ -28,18 +29,9 @@ impl<'a, T: Real, const L: usize> MassOperator<'a, T, L> {
 
     /// The diagonal `jxw` weights as a flat vector (one entry per DoF).
     pub fn weights(&self) -> Vec<T> {
-        let mf = self.mf;
-        let dpc = mf.dofs_per_cell;
-        let mut w = vec![T::ZERO; mf.n_dofs()];
-        for (bi, b) in mf.cell_batches.iter().enumerate() {
-            let g = &mf.cell_geometry[bi];
-            for l in 0..b.n_filled {
-                let base = dpc * b.cells[l] as usize;
-                for i in 0..dpc {
-                    w[base + i] = g.jxw[i][l];
-                }
-            }
-        }
+        let dpc = self.mf.dofs_per_cell;
+        let mut w = vec![T::ZERO; self.mf.n_dofs()];
+        for_each_point(self.mf, |c, i, _, jxw| w[c * dpc + i] = jxw);
         w
     }
 }
@@ -49,17 +41,10 @@ impl<'a, T: Real, const L: usize> LinearOperator<T> for MassOperator<'a, T, L> {
         self.mf.n_dofs()
     }
     fn apply(&self, src: &[T], dst: &mut [T]) {
-        let mf = self.mf;
-        let dpc = mf.dofs_per_cell;
-        for (bi, b) in mf.cell_batches.iter().enumerate() {
-            let g = &mf.cell_geometry[bi];
-            for l in 0..b.n_filled {
-                let base = dpc * b.cells[l] as usize;
-                for i in 0..dpc {
-                    dst[base + i] = src[base + i] * g.jxw[i][l];
-                }
-            }
-        }
+        let dpc = self.mf.dofs_per_cell;
+        for_each_point(self.mf, |c, i, _, jxw| {
+            dst[c * dpc + i] = src[c * dpc + i] * jxw;
+        });
     }
     fn diagonal(&self) -> Vec<T> {
         self.weights()

@@ -5,6 +5,8 @@ pub mod laplace;
 pub mod mass;
 pub(crate) mod sipg;
 
-pub use functions::{integrate_rhs, interpolate, interpolate_nodal, l2_error, l2_norm};
+pub use functions::{
+    for_each_point, integrate_rhs, interpolate, interpolate_nodal, l2_error, l2_norm,
+};
 pub use laplace::{BoundaryCondition, LaplaceOperator};
 pub use mass::{InverseMassOperator, MassOperator};
