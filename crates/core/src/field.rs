@@ -12,8 +12,9 @@
 //! entry receives its contributions in a fixed order.
 
 use dgflow_fem::evaluator::{
-    evaluate_face, evaluate_gradients, evaluate_values, gather_cells, integrate, integrate_face,
-    scatter_add_cells, CellScratch, FaceScratch, FaceSideDesc,
+    evaluate_face, evaluate_gradients, evaluate_values, gather_cell, gather_face_cells, integrate,
+    integrate_face, scatter_add_cell, scatter_add_face_cells, CellScratch, FaceScratch,
+    FaceSideDesc,
 };
 use dgflow_fem::operators::for_each_point;
 use dgflow_fem::util::SharedMut;
@@ -45,7 +46,7 @@ pub fn read_cell<T: Real, const L: usize>(
         // collocated: nodal values *are* the quadrature values, so gather
         // straight into the values buffer
         let vals = if collocated { &mut s.quad } else { &mut s.dofs };
-        gather_cells(&b.cells, b.n_filled, u, DIM * dpc, d * dpc, dpc, vals);
+        gather_cell(b, u, DIM * dpc, d * dpc, dpc, vals);
         if !collocated {
             evaluate_values(mf, s);
         }
@@ -71,7 +72,7 @@ pub fn write_cell<T: Real, const L: usize>(
     for d in 0..DIM {
         fill(d, &mut s.grad);
         integrate(mf, s, false, true);
-        scatter_add_cells(&b.cells, b.n_filled, &s.dofs, DIM * dpc, d * dpc, dpc, out);
+        scatter_add_cell(b, &s.dofs, DIM * dpc, d * dpc, dpc, out);
     }
 }
 
@@ -79,27 +80,32 @@ pub fn write_cell<T: Real, const L: usize>(
 /// values of component `d` on the minus side (in `sm`) and, on interior
 /// faces, the plus side (in `sp`), then call `visit(d, minus, plus)` with
 /// the values at the face quadrature points in minus-frame order (`plus`
-/// is `None` on boundary faces).
+/// is `None` on boundary faces). `sp` may be `None` when `bi` is a
+/// boundary face; an interior face without it panics.
 pub fn read_face<T: Real, const L: usize>(
     mf: &MatrixFree<T, L>,
     bi: usize,
     u: &[T],
     sm: &mut FaceScratch<T, L>,
-    sp: &mut FaceScratch<T, L>,
+    sp: Option<&mut FaceScratch<T, L>>,
     mut visit: impl FnMut(usize, &[Simd<T, L>], Option<&[Simd<T, L>]>),
 ) {
     let b = &mf.face_batches[bi];
     let dpc = mf.dofs_per_cell;
-    let interior = !b.category.is_boundary;
+    let mut sp = if b.category.is_boundary {
+        None
+    } else {
+        Some(sp.expect("read_face: an interior face needs a plus-side scratch"))
+    };
     for d in 0..DIM {
         let off = d * dpc;
-        gather_cells(&b.minus, b.n_filled, u, DIM * dpc, off, dpc, &mut sm.dofs);
+        gather_face_cells(&b.minus, b.n_filled, u, DIM * dpc, off, dpc, &mut sm.dofs);
         evaluate_face(mf, FaceSideDesc::minus(b), false, sm);
-        if interior {
-            gather_cells(&b.plus, b.n_filled, u, DIM * dpc, off, dpc, &mut sp.dofs);
+        if let Some(sp) = sp.as_deref_mut() {
+            gather_face_cells(&b.plus, b.n_filled, u, DIM * dpc, off, dpc, &mut sp.dofs);
             evaluate_face(mf, FaceSideDesc::plus(b), false, sp);
         }
-        visit(d, &sm.val, interior.then_some(&sp.val[..]));
+        visit(d, &sm.val, sp.as_deref().map(|sp| &sp.val[..]));
     }
 }
 
@@ -122,13 +128,13 @@ pub fn write_face<T: Real, const L: usize>(
         fill(d, &mut s.val);
         // the minus-side integration leaves `s.val` as filled
         integrate_face(mf, FaceSideDesc::minus(b), false, s);
-        scatter_add_cells(&b.minus, b.n_filled, &s.dofs, DIM * dpc, off, dpc, out);
+        scatter_add_face_cells(&b.minus, b.n_filled, &s.dofs, DIM * dpc, off, dpc, out);
         if !b.category.is_boundary {
             for v in s.val.iter_mut() {
                 *v = -*v;
             }
             integrate_face(mf, FaceSideDesc::plus(b), false, s);
-            scatter_add_cells(&b.plus, b.n_filled, &s.dofs, DIM * dpc, off, dpc, out);
+            scatter_add_face_cells(&b.plus, b.n_filled, &s.dofs, DIM * dpc, off, dpc, out);
         }
     }
 }
@@ -138,18 +144,18 @@ fn index(dpc: usize, cell: usize, d: usize, i: usize) -> usize {
     (cell * DIM + d) * dpc + i
 }
 
-/// Visit `f(j, s)` for every velocity index `j` of `cells` with its scalar
-/// node index `s = cell * dpc + node`: cell by cell, then component, then
-/// node.
+/// Visit `f(j, s, i)` for every velocity index `j` of `cells` with its
+/// scalar node index `s = cell * dpc + i` and its node `i` within the
+/// cell: cell by cell, then component, then node.
 pub fn for_each_node(
     dpc: usize,
     cells: impl IntoIterator<Item = usize>,
-    mut f: impl FnMut(usize, usize),
+    mut f: impl FnMut(usize, usize, usize),
 ) {
     for c in cells {
         for d in 0..DIM {
             for i in 0..dpc {
-                f(index(dpc, c, d, i), c * dpc + i);
+                f(index(dpc, c, d, i), c * dpc + i, i);
             }
         }
     }

@@ -9,27 +9,32 @@ use crate::field::{
     for_each_node, n_velocity_dofs, read_cell, read_face, write_cell, write_face, DIM,
 };
 use dgflow_fem::evaluator::{
-    evaluate_face, evaluate_values, gather_cells, integrate, integrate_face, scatter_add_cells,
-    CellScratch, FaceScratch, FaceSideDesc,
+    evaluate_face, evaluate_values, gather_cell, gather_face_cells, integrate, integrate_face,
+    scatter_add_cell, scatter_add_face_cells, CellScratch, FaceScratch, FaceSideDesc,
 };
 use dgflow_fem::util::SharedMut;
-use dgflow_fem::{LaplaceOperator, MassOperator, MatrixFree};
+use dgflow_fem::{LaplaceOperator, MatrixFree};
 use dgflow_simd::{Real, Simd};
 use dgflow_solvers::LinearOperator;
 use std::sync::Arc;
 
 /// One step of `−(Σ_d t_d) · JxW` summed over the components `d = 0, 1, 2`
-/// in order: `acc` is the partial sum before component `d`.
+/// in order: `acc` is the partial sum before component `d`. The result is
+/// the full sum only if it is called once for each `d` in increasing order,
+/// the order in which [`read_cell`] visits the components.
 pub(crate) fn sum_component<T: Real, const L: usize>(
     d: usize,
     acc: Simd<T, L>,
     t: Simd<T, L>,
     jxw: Simd<T, L>,
 ) -> Simd<T, L> {
-    match d {
-        0 => t,
-        1 => acc + t,
-        _ => -(acc + t) * jxw,
+    debug_assert!(d < DIM, "component {d} out of range");
+    if d == 0 {
+        t
+    } else if d < DIM - 1 {
+        acc + t
+    } else {
+        -(acc + t) * jxw
     }
 }
 
@@ -73,7 +78,7 @@ pub fn convective_term<T: Real, const L: usize>(
     let face = |bi: usize, (sm, sp, [um, up, flux]): &mut FaceBufs<T, L>, out: &SharedMut<T>| {
         let cat = mf.face_batches[bi].category;
         let g = &mf.face_geometry[bi];
-        read_face(mf, bi, u, sm, sp, |d, m, p| {
+        read_face(mf, bi, u, sm, Some(sp), |d, m, p| {
             um[d].copy_from_slice(m);
             match (p, bcs.kind(cat.boundary_id)) {
                 (Some(p), _) => up[d].copy_from_slice(p),
@@ -154,7 +159,7 @@ pub fn divergence<T: Real, const L: usize>(
             }
         });
         integrate(mf_p, sq, false, true);
-        scatter_add_cells(&b.cells, b.n_filled, &sq.dofs, dpc_p, 0, dpc_p, out);
+        scatter_add_cell(b, &sq.dofs, dpc_p, 0, dpc_p, out);
     };
     type FaceBufs<T, const L: usize> = ([FaceScratch<T, L>; 3], Vec<Simd<T, L>>);
     let face = |bi: usize, ([sm, sp, sq], un_avg): &mut FaceBufs<T, L>, out: &SharedMut<T>| {
@@ -166,7 +171,7 @@ pub fn divergence<T: Real, const L: usize>(
         }
         un_avg.fill(Simd::zero());
         let half = T::from_f64(0.5);
-        read_face(mf_u, bi, u, sm, sp, |d, m, p| match p {
+        read_face(mf_u, bi, u, sm, Some(sp), |d, m, p| match p {
             Some(p) => {
                 for q in 0..nq2 {
                     un_avg[q] += (m[q] + p[q]) * half * g.normal[q * 3 + d];
@@ -183,13 +188,13 @@ pub fn divergence<T: Real, const L: usize>(
             sq.val[q] = un_avg[q] * g.jxw[q];
         }
         integrate_face(mf_p, FaceSideDesc::minus(b), false, sq);
-        scatter_add_cells(&b.minus, b.n_filled, &sq.dofs, dpc_p, 0, dpc_p, out);
+        scatter_add_face_cells(&b.minus, b.n_filled, &sq.dofs, dpc_p, 0, dpc_p, out);
         if !cat.is_boundary {
             for v in sq.val.iter_mut() {
                 *v = -*v;
             }
             integrate_face(mf_p, FaceSideDesc::plus(b), false, sq);
-            scatter_add_cells(&b.plus, b.n_filled, &sq.dofs, dpc_p, 0, dpc_p, out);
+            scatter_add_face_cells(&b.plus, b.n_filled, &sq.dofs, dpc_p, 0, dpc_p, out);
         }
     };
     mf_u.loop_over(
@@ -225,7 +230,7 @@ pub fn gradient<T: Real, const L: usize>(
         |bi: usize, (su, sq): &mut (CellScratch<T, L>, CellScratch<T, L>), out: &SharedMut<T>| {
             let b = &mf_u.cell_batches[bi];
             let g = &mf_u.cell_geometry[bi];
-            gather_cells(&b.cells, b.n_filled, p, dpc_p, 0, dpc_p, &mut sq.dofs);
+            gather_cell(b, p, dpc_p, 0, dpc_p, &mut sq.dofs);
             evaluate_values(mf_p, sq);
             write_cell(mf_u, bi, su, out, |d, grad| {
                 for q in 0..nq3 {
@@ -243,7 +248,7 @@ pub fn gradient<T: Real, const L: usize>(
         let cat = b.category;
         // {{p}} into qm.val: p⁻ on walls, the prescribed g on pressure
         // boundaries, the average of both traces inside
-        gather_cells(&b.minus, b.n_filled, p, dpc_p, 0, dpc_p, &mut qm.dofs);
+        gather_face_cells(&b.minus, b.n_filled, p, dpc_p, 0, dpc_p, &mut qm.dofs);
         evaluate_face(mf_p, FaceSideDesc::minus(b), false, qm);
         if cat.is_boundary {
             if bcs.kind(cat.boundary_id) == BcKind::Pressure {
@@ -251,7 +256,7 @@ pub fn gradient<T: Real, const L: usize>(
                 qm.val.fill(Simd::splat(gp));
             }
         } else {
-            gather_cells(&b.plus, b.n_filled, p, dpc_p, 0, dpc_p, &mut qp.dofs);
+            gather_face_cells(&b.plus, b.n_filled, p, dpc_p, 0, dpc_p, &mut qp.dofs);
             evaluate_face(mf_p, FaceSideDesc::plus(b), false, qp);
             let half = T::from_f64(0.5);
             for (m, &p) in qm.val.iter_mut().zip(&qp.val) {
@@ -396,10 +401,10 @@ impl<'a, T: Real, const L: usize> LinearOperator<T> for PenaltyOperator<'a, T, L
             let b = &mf.cell_batches[bi];
             let g = &mf.cell_geometry[bi];
             for l in 0..b.n_filled {
-                for_each_node(dpc, [b.cells[l] as usize], |j, node| {
+                for_each_node(dpc, [b.cells[l] as usize], |j, _, i| {
                     // SAFETY: the loop runs concurrently only cell batches
                     // with disjoint cells, and this lane's cell is ours
-                    unsafe { out.write(j, src[j] * g.jxw[node % dpc][l]) };
+                    unsafe { out.write(j, src[j] * g.jxw[i][l]) };
                 });
             }
             let mut adiv = Simd::<T, L>::zero();
@@ -433,7 +438,7 @@ impl<'a, T: Real, const L: usize> LinearOperator<T> for PenaltyOperator<'a, T, L
             }
             let g = &mf.face_geometry[bi];
             jump_n.fill(Simd::zero());
-            read_face(mf, bi, src, sm, sp, |d, m, p| {
+            read_face(mf, bi, src, sm, Some(sp), |d, m, p| {
                 let p = p.expect("interior face");
                 for q in 0..nq2 {
                     jump_n[q] += (m[q] - p[q]) * g.normal[q * 3 + d];
@@ -467,9 +472,14 @@ impl<'a, T: Real, const L: usize> LinearOperator<T> for PenaltyOperator<'a, T, L
         // mass-dominated; the penalty contribution is modest — the mass
         // diagonal is the standard preconditioner for this solve
         let mf = self.mf;
-        let w = MassOperator::new(mf).weights();
         let mut diag = vec![T::ZERO; self.len()];
-        for_each_node(mf.dofs_per_cell, 0..mf.n_cells, |j, node| diag[j] = w[node]);
+        for (b, g) in mf.cell_batches.iter().zip(&mf.cell_geometry) {
+            for l in 0..b.n_filled {
+                for_each_node(mf.dofs_per_cell, [b.cells[l] as usize], |j, _, i| {
+                    diag[j] = g.jxw[i][l];
+                });
+            }
+        }
         diag
     }
 }
@@ -482,7 +492,7 @@ pub fn boundary_flow_rate<T: Real, const L: usize>(
     u: &[T],
 ) -> f64 {
     let nq2 = mf.n_q() * mf.n_q();
-    let (mut sm, mut sp) = (FaceScratch::<T, L>::new(mf), FaceScratch::<T, L>::new(mf));
+    let mut sm = FaceScratch::<T, L>::new(mf);
     let mut total = 0.0;
     for (bi, b) in mf.face_batches.iter().enumerate() {
         let cat = b.category;
@@ -490,7 +500,7 @@ pub fn boundary_flow_rate<T: Real, const L: usize>(
             continue;
         }
         let g = &mf.face_geometry[bi];
-        read_face(mf, bi, u, &mut sm, &mut sp, |d, m, _| {
+        read_face(mf, bi, u, &mut sm, None, |d, m, _| {
             for q in 0..nq2 {
                 let c = m[q] * g.normal[q * 3 + d] * g.jxw[q];
                 for l in 0..b.n_filled {

@@ -12,8 +12,8 @@ use crate::field::{read_cell, read_face, DIM};
 use crate::operators::{sum_component, HelmholtzOperator};
 use crate::timeint::BdfCoefficients;
 use dgflow_fem::evaluator::{
-    evaluate_face, evaluate_values, gather_cells, integrate, integrate_face, scatter_add_cells,
-    CellScratch, FaceScratch, FaceSideDesc,
+    evaluate_face, evaluate_values, gather_cell, gather_face_cells, integrate, integrate_face,
+    scatter_add_cell, scatter_add_face_cells, CellScratch, FaceScratch, FaceSideDesc,
 };
 use dgflow_fem::operators::for_each_point;
 use dgflow_fem::util::SharedMut;
@@ -51,7 +51,7 @@ pub fn advect_term<const L: usize>(
     let cell = |bi: usize, (sc, su): &mut CellBufs<L>, out: &SharedMut<f64>| {
         let b = &mf.cell_batches[bi];
         let g = &mf.cell_geometry[bi];
-        gather_cells(&b.cells, b.n_filled, c, dpc, 0, dpc, &mut sc.dofs);
+        gather_cell(b, c, dpc, 0, dpc, &mut sc.dofs);
         evaluate_values(mf, sc);
         // sc.grad[k] = −(Σ_d c u_d J^{-T}_{dk}) · JxW, summed over d in order
         read_cell(mf, bi, u, false, su, |d, su| {
@@ -64,7 +64,7 @@ pub fn advect_term<const L: usize>(
             }
         });
         integrate(mf, sc, false, true);
-        scatter_add_cells(&b.cells, b.n_filled, &sc.dofs, dpc, 0, dpc, out);
+        scatter_add_cell(b, &sc.dofs, dpc, 0, dpc, out);
     };
 
     // faces: upwind flux ĉ (u·n)
@@ -77,7 +77,7 @@ pub fn advect_term<const L: usize>(
         let desc_p = FaceSideDesc::plus(b);
         // normal velocity (average of the two traces)
         un.fill(Simd::zero());
-        read_face(mf, bi, u, sm, sp, |d, m, p| match p {
+        read_face(mf, bi, u, sm, Some(sp), |d, m, p| match p {
             Some(p) => {
                 for q in 0..nq2 {
                     un[q] += (m[q] + p[q]) * Simd::splat(0.5) * g.normal[q * 3 + d];
@@ -90,7 +90,7 @@ pub fn advect_term<const L: usize>(
             }
         });
         // scalar traces c⁻ (in sm.val) and c⁺ (in sp.val)
-        gather_cells(&b.minus, b.n_filled, c, dpc, 0, dpc, &mut sm.dofs);
+        gather_face_cells(&b.minus, b.n_filled, c, dpc, 0, dpc, &mut sm.dofs);
         evaluate_face(mf, desc_m, false, sm);
         if cat.is_boundary {
             match bc_of(cat.boundary_id) {
@@ -106,7 +106,7 @@ pub fn advect_term<const L: usize>(
                 ScalarBc::Outflow => sp.val.copy_from_slice(&sm.val),
             }
         } else {
-            gather_cells(&b.plus, b.n_filled, c, dpc, 0, dpc, &mut sp.dofs);
+            gather_face_cells(&b.plus, b.n_filled, c, dpc, 0, dpc, &mut sp.dofs);
             evaluate_face(mf, desc_p, false, sp);
         }
         // upwind flux: ĉ u·n = {{c}} u·n + |u·n|/2 [[c]]
@@ -118,10 +118,10 @@ pub fn advect_term<const L: usize>(
             sp.val[q] = -flux;
         }
         integrate_face(mf, desc_m, false, sm);
-        scatter_add_cells(&b.minus, b.n_filled, &sm.dofs, dpc, 0, dpc, out);
+        scatter_add_face_cells(&b.minus, b.n_filled, &sm.dofs, dpc, 0, dpc, out);
         if !cat.is_boundary {
             integrate_face(mf, desc_p, false, sp);
-            scatter_add_cells(&b.plus, b.n_filled, &sp.dofs, dpc, 0, dpc, out);
+            scatter_add_face_cells(&b.plus, b.n_filled, &sp.dofs, dpc, 0, dpc, out);
         }
     };
     mf.loop_over(

@@ -278,7 +278,7 @@ impl<const L: usize> FlowSolver<L> {
         // read of conv/conv_old/velocity/velocity_old per element instead
         // of three full-vector sweeps (the per-element operation order
         // matches the unfused passes exactly).
-        for_each_node(dpc, 0..n_cells, |j, node| {
+        for_each_node(dpc, 0..n_cells, |j, node, _| {
             let r = (coeff.beta[0] * conv[j] + coeff.beta[1] * self.conv_old[j]) * inv_mass[node];
             u_hat[j] = (coeff.alpha[0] * self.velocity[j] + coeff.alpha[1] * self.velocity_old[j]
                 - dt * r)
@@ -322,7 +322,7 @@ impl<const L: usize> FlowSolver<L> {
         gradient(&self.mf_u, &self.mf_p, &self.bcs, &self.pressure, &mut gp);
         // fused M⁻¹ + projection update, same per-element order as the
         // separate passes.
-        for_each_node(dpc, 0..n_cells, |j, node| {
+        for_each_node(dpc, 0..n_cells, |j, node, _| {
             u_hat[j] -= dt / coeff.gamma0 * (gp[j] * inv_mass[node]);
         });
         let projection_seconds = sp_stage.finish();
@@ -371,7 +371,7 @@ impl<const L: usize> FlowSolver<L> {
         );
         // M u*
         let mut pen_rhs = u_star.clone();
-        for_each_node(dpc, 0..n_cells, |j, node| pen_rhs[j] /= inv_mass[node]);
+        for_each_node(dpc, 0..n_cells, |j, node, _| pen_rhs[j] /= inv_mass[node]);
         let pen_pre = JacobiPreconditioner::new(dgflow_solvers::LinearOperator::diagonal(&pen));
         let mut u_new = u_star.clone();
         let pres_pen = cg_solve(

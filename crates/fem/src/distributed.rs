@@ -21,7 +21,7 @@
 //! the application as a [`LinearOperator`] over owned-length vectors,
 //! which the solvers' `cg_solve_on` runs as it runs a serial operator.
 
-use crate::evaluator::{gather_cells, scatter_add_cells, CellScratch, FaceScratch};
+use crate::evaluator::{gather_face_cells, scatter_add_face_cells, CellScratch, FaceScratch};
 use crate::matrixfree::MatrixFree;
 use crate::operators::laplace::LaplaceOperator;
 use crate::util::SharedMut;
@@ -313,9 +313,9 @@ fn sweep<const L: usize>(
             );
         } else {
             let n = op.mf.cell_batches[bi].n_filled;
-            gather_cells(&b.gather[0], n, src, dpc, 0, dpc, &mut cell.dofs);
+            gather_face_cells(&b.gather[0], n, src, dpc, 0, dpc, &mut cell.dofs);
             op.cell_term(bi, cell);
-            scatter_add_cells(&b.scatter[0], n, &cell.dofs, dpc, 0, dpc, dst);
+            scatter_add_face_cells(&b.scatter[0], n, &cell.dofs, dpc, 0, dpc, dst);
         }
     }
 }

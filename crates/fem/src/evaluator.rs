@@ -11,7 +11,7 @@
 //! index permutations on the symmetric quadrature grid (Sec. 3.2's
 //! "partially filled lanes" categories).
 
-use crate::batch::FaceBatch;
+use crate::batch::{CellBatch, FaceBatch};
 use crate::matrixfree::{tangential, MatrixFree};
 use dgflow_mesh::FaceOrientation;
 use dgflow_simd::{Real, Simd};
@@ -50,6 +50,45 @@ impl<T: Real, const L: usize> CellScratch<T, L> {
             ],
             tmp: vec![Simd::zero(); m3],
             tmp2: vec![Simd::zero(); m3],
+        }
+    }
+}
+
+/// Gather the nodal values of every lane's cell: lane `l` reads
+/// `src[stride*cell + offset + i]`.
+pub fn gather_cell<T: Real, const L: usize>(
+    batch: &CellBatch<L>,
+    src: &[T],
+    stride: usize,
+    offset: usize,
+    dofs_per_cell: usize,
+    out: &mut [Simd<T, L>],
+) {
+    for i in 0..dofs_per_cell {
+        let mut v = Simd::<T, L>::zero();
+        for l in 0..batch.n_filled {
+            v[l] = src[stride * batch.cells[l] as usize + offset + i];
+        }
+        out[i] = v;
+    }
+}
+
+/// Scatter-add nodal values back: `dst[stride*cell + offset + i] += vals[i]`.
+pub fn scatter_add_cell<T: Real, const L: usize>(
+    batch: &CellBatch<L>,
+    vals: &[Simd<T, L>],
+    stride: usize,
+    offset: usize,
+    dofs_per_cell: usize,
+    dst: &crate::util::SharedMut<T>,
+) {
+    for l in 0..batch.n_filled {
+        let base = stride * batch.cells[l] as usize + offset;
+        for i in 0..dofs_per_cell {
+            // SAFETY: concurrent callers run inside the matrix-free loop,
+            // which schedules only batches with disjoint cells at once
+            // (`crate::loops`); other callers are serial
+            unsafe { *dst.at(base + i) += vals[i][l] };
         }
     }
 }
@@ -653,11 +692,8 @@ fn permute_from_minus<T: Real, const L: usize>(
     }
 }
 
-/// Gather the nodal values of a lane table's cells: lane `l` reads
-/// `src[stride*cells[l] + offset + i]`; lanes at or beyond `n_filled` and
-/// `u32::MAX` lanes (the missing plus side of a boundary face) read zero.
-/// Serves cell batches (`&b.cells`) and face sides (`&b.minus`, `&b.plus`).
-pub fn gather_cells<T: Real, const L: usize>(
+/// Gather one face side's cells from a vector (lane-wise).
+pub fn gather_face_cells<T: Real, const L: usize>(
     cells: &[u32; L],
     n_filled: usize,
     src: &[T],
@@ -666,22 +702,19 @@ pub fn gather_cells<T: Real, const L: usize>(
     dofs_per_cell: usize,
     out: &mut [Simd<T, L>],
 ) {
-    out[..dofs_per_cell].fill(Simd::zero());
-    for l in 0..n_filled {
-        if cells[l] == u32::MAX {
-            continue;
+    for i in 0..dofs_per_cell {
+        let mut v = Simd::<T, L>::zero();
+        for l in 0..n_filled {
+            if cells[l] != u32::MAX {
+                v[l] = src[stride * cells[l] as usize + offset + i];
+            }
         }
-        let row = &src[stride * cells[l] as usize + offset..][..dofs_per_cell];
-        for (o, &x) in out.iter_mut().zip(row) {
-            o[l] = x;
-        }
+        out[i] = v;
     }
 }
 
-/// Scatter-add nodal values back to a lane table's cells:
-/// `dst[stride*cells[l] + offset + i] += vals[i][l]`, skipping `u32::MAX`
-/// lanes.
-pub fn scatter_add_cells<T: Real, const L: usize>(
+/// Scatter-add one face side's nodal contributions.
+pub fn scatter_add_face_cells<T: Real, const L: usize>(
     cells: &[u32; L],
     n_filled: usize,
     vals: &[Simd<T, L>],
@@ -696,10 +729,8 @@ pub fn scatter_add_cells<T: Real, const L: usize>(
         }
         let base = stride * cells[l] as usize + offset;
         for i in 0..dofs_per_cell {
-            // SAFETY: concurrent callers run inside the matrix-free loop,
-            // which schedules only cell batches with disjoint cells, or one
-            // face color (whose batches share no cell) at a time
-            // (`crate::loops`); other callers are serial
+            // SAFETY: as in `scatter_add_cell`: the matrix-free loop runs
+            // one face color at a time, whose batches share no cell
             unsafe { *dst.at(base + i) += vals[i][l] };
         }
     }

@@ -3,9 +3,9 @@
 //! block of the viscous step.
 
 use crate::evaluator::{
-    apply_cell_laplace, evaluate_face, evaluate_gradients, evaluate_values, gather_cells,
-    integrate_face, integrate_ref, laplace_cell_coeff, scatter_add_cells, CellScratch, FaceScratch,
-    FaceSideDesc,
+    apply_cell_laplace, evaluate_face, evaluate_gradients, evaluate_values, gather_cell,
+    gather_face_cells, integrate_face, integrate_ref, laplace_cell_coeff, scatter_add_cell,
+    scatter_add_face_cells, CellScratch, FaceScratch, FaceSideDesc,
 };
 use crate::loops::LoopSpan;
 use crate::matrixfree::MatrixFree;
@@ -108,10 +108,10 @@ impl<T: Real, const L: usize> LaplaceOperator<T, L> {
         let b = &mf.face_batches[bi];
         let n = b.n_filled;
         let read = |side: usize, s: &mut FaceScratch<T, L>| {
-            gather_cells(gather[side], n, src, dpc, 0, dpc, &mut s.dofs);
+            gather_face_cells(gather[side], n, src, dpc, 0, dpc, &mut s.dofs);
         };
         let write = |side: usize, s: &FaceScratch<T, L>| {
-            scatter_add_cells(scatter[side], n, &s.dofs, dpc, 0, dpc, dst);
+            scatter_add_face_cells(scatter[side], n, &s.dofs, dpc, 0, dpc, dst);
         };
         let cat = b.category;
         if cat.is_boundary {
@@ -151,9 +151,9 @@ impl<T: Real, const L: usize> LaplaceOperator<T, L> {
                 || CellScratch::new(mf),
                 |bi, s, out| {
                     let b = &mf.cell_batches[bi];
-                    gather_cells(&b.cells, b.n_filled, src, dpc, 0, dpc, &mut s.dofs);
+                    gather_cell(b, src, dpc, 0, dpc, &mut s.dofs);
                     cell(bi, s);
-                    scatter_add_cells(&b.cells, b.n_filled, &s.dofs, dpc, 0, dpc, out);
+                    scatter_add_cell(b, &s.dofs, dpc, 0, dpc, out);
                 },
             ),
             (
@@ -195,7 +195,7 @@ impl<T: Real, const L: usize> LaplaceOperator<T, L> {
                 continue;
             }
             nitsche_lifting(mf, bi, |x| gfun(cat.boundary_id, x), &mut sm);
-            scatter_add_cells(&b.minus, b.n_filled, &sm.dofs, dpc, 0, dpc, &dst);
+            scatter_add_face_cells(&b.minus, b.n_filled, &sm.dofs, dpc, 0, dpc, &dst);
         }
         rhs
     }

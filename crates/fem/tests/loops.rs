@@ -6,7 +6,9 @@
 //! to have the race detector check every pool run of the loop.
 
 use dgflow_fem::cg_space::CgSpace;
-use dgflow_fem::evaluator::{gather_cells, scatter_add_cells};
+use dgflow_fem::evaluator::{
+    gather_cell, gather_face_cells, scatter_add_cell, scatter_add_face_cells,
+};
 use dgflow_fem::util::SharedMut;
 use dgflow_fem::{MatrixFree, MfParams};
 use dgflow_lung::{bifurcation_tree, mesh_airway_tree, MeshParams};
@@ -48,11 +50,11 @@ fn cell_kernel<'a, T: Real, const L: usize>(
     move |bi, s, out| {
         let (b, g) = (&mf.cell_batches[bi], &mf.cell_geometry[bi]);
         let dpc = mf.dofs_per_cell;
-        gather_cells(&b.cells, b.n_filled, src, dpc, 0, dpc, s);
+        gather_cell(b, src, dpc, 0, dpc, s);
         for (v, w) in s.iter_mut().zip(&g.jxw) {
             *v = *v * *w + *w;
         }
-        scatter_add_cells(&b.cells, b.n_filled, s, dpc, 0, dpc, out);
+        scatter_add_cell(b, s, dpc, 0, dpc, out);
     }
 }
 
@@ -66,19 +68,19 @@ fn face_kernel<'a, T: Real, const L: usize>(
     move |bi, (m, p), out| {
         let (b, sigma) = (&mf.face_batches[bi], mf.sigma[bi]);
         let dpc = mf.dofs_per_cell;
-        gather_cells(&b.minus, b.n_filled, src, dpc, 0, dpc, m);
+        gather_face_cells(&b.minus, b.n_filled, src, dpc, 0, dpc, m);
         if b.category.is_boundary {
             p.fill(Simd::zero());
         } else {
-            gather_cells(&b.plus, b.n_filled, src, dpc, 0, dpc, p);
+            gather_face_cells(&b.plus, b.n_filled, src, dpc, 0, dpc, p);
         }
         for (vm, vp) in m.iter_mut().zip(p.iter_mut()) {
             let j = (*vm - *vp) * sigma + Simd::splat(T::from_f64(0.1));
             (*vm, *vp) = (j, -j * sigma);
         }
-        scatter_add_cells(&b.minus, b.n_filled, m, dpc, 0, dpc, out);
+        scatter_add_face_cells(&b.minus, b.n_filled, m, dpc, 0, dpc, out);
         if !b.category.is_boundary {
-            scatter_add_cells(&b.plus, b.n_filled, p, dpc, 0, dpc, out);
+            scatter_add_face_cells(&b.plus, b.n_filled, p, dpc, 0, dpc, out);
         }
     }
 }

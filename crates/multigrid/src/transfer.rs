@@ -19,7 +19,7 @@
 
 use dgflow_comm::{parallel_chunks_mut, parallel_for_chunks, PAR_GRAIN};
 use dgflow_fem::cg_space::{CgSpace, GatherPlan};
-use dgflow_fem::evaluator::{gather_cells, scatter_add_cells};
+use dgflow_fem::evaluator::{gather_cell, scatter_add_cell};
 use dgflow_fem::util::SharedMut;
 use dgflow_fem::{CellBatch, MatrixFree};
 use dgflow_mesh::Forest;
@@ -403,8 +403,7 @@ impl<T: Real, const L: usize> Transfer<T, L> {
             apply_1d(m[1], t0, t1, [nf1, nc1, nc1], 1, false);
             apply_1d(m[2], t1, t2, [nf1, nf1, nc1], 2, false);
             if self.fine_sum.is_none() {
-                let fine = &batch.fine;
-                scatter_add_cells(&fine.cells, fine.n_filled, t2, dpc_f, 0, dpc_f, &out);
+                scatter_add_cell(&batch.fine, t2, dpc_f, 0, dpc_f, &out);
                 return;
             }
             let w = &self.fine_w[bi * dpc_f..(bi + 1) * dpc_f];
@@ -432,8 +431,7 @@ impl<T: Real, const L: usize> Transfer<T, L> {
             // read fine local values (plain, weighted)
             let fl = &mut s.a[..dpc_f];
             if self.fine_idx.is_empty() {
-                let fine = &batch.fine;
-                gather_cells(&fine.cells, fine.n_filled, fine_vec, dpc_f, 0, dpc_f, fl);
+                gather_cell(&batch.fine, fine_vec, dpc_f, 0, dpc_f, fl);
             } else {
                 let base = bi * dpc_f;
                 let rows = self.fine_idx[base..base + dpc_f]
