@@ -43,26 +43,12 @@ fn main() {
         let bcs = VentilationModel::make_bcs(&mesh);
         let mut vent = VentilationModel::from_lung(&mesh, VentilatorSettings::default());
         let mut solver = FlowSolver::<8>::new(&forest, &manifold, params, bcs);
-        let rho = solver.density();
-        vent.update(
-            0.0,
-            0.0,
-            0.0,
-            &vec![0.0; mesh.outlets.len()],
-            rho,
-            &mut solver.bcs,
-        );
+        vent.couple(&mut solver, 0.0);
         let mut wall = 0.0;
         let mut dt_sum = 0.0;
         for _ in 0..n_steps {
             let info = solver.step();
-            let inlet = solver.flow_rate(dgflow_lung::INLET_ID);
-            let outlet: Vec<f64> = mesh
-                .outlets
-                .iter()
-                .map(|o| solver.flow_rate(o.boundary_id))
-                .collect();
-            vent.update(solver.time, info.dt, inlet, &outlet, rho, &mut solver.bcs);
+            vent.couple(&mut solver, info.dt);
             // skip the first two startup steps in the averages
             if solver.step_count > 2 {
                 wall += info.wall_seconds;

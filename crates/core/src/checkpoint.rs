@@ -7,6 +7,10 @@
 //! carries the full two-level BDF history (`velocity_old`, `conv_old`,
 //! `dt_old`, `step_count`), so a restored solver continues with the same
 //! BDF2 extrapolation it would have used without the interruption.
+//! Version 3 appends the ventilator's cycle state (`cycle_inhaled`,
+//! `last_cycle`, `tidal_history`), so a restored controller adapts Δp at
+//! its next cycle boundary from the whole cycle's inhaled volume. Version 2
+//! streams still read, with that state at its start-of-run defaults.
 //!
 //! Robustness contract: [`Checkpoint::read`] never panics or makes
 //! unbounded allocations on corrupt/truncated/hostile input — every
@@ -20,7 +24,7 @@ use crate::ventilation::VentilationModel;
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 8] = b"DGFLOWCK";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// A serializable snapshot of the time-dependent state (mesh/operator
 /// setup is rebuilt deterministically from the same inputs).
@@ -46,6 +50,12 @@ pub struct Checkpoint {
     pub delta_p: f64,
     /// Compartment volumes.
     pub compartment_volumes: Vec<f64>,
+    /// Volume inhaled so far in the current breathing cycle (m³).
+    pub cycle_inhaled: f64,
+    /// Breathing cycle of the ventilator's last update.
+    pub last_cycle: u64,
+    /// Completed-cycle tidal volumes (controller history).
+    pub tidal_history: Vec<f64>,
 }
 
 fn write_f64s(out: &mut dyn Write, v: &[f64]) -> io::Result<()> {
@@ -102,12 +112,18 @@ impl Checkpoint {
             compartment_volumes: vent
                 .map(|v| v.compartments.iter().map(|c| c.volume).collect())
                 .unwrap_or_default(),
+            cycle_inhaled: vent.map(|v| v.cycle_inhaled).unwrap_or(0.0),
+            last_cycle: vent.map(|v| v.last_cycle as u64).unwrap_or(0),
+            tidal_history: vent.map(|v| v.tidal_history.clone()).unwrap_or_default(),
         }
     }
 
     /// Restore into a freshly constructed solver of identical setup,
     /// including the BDF2 step history, so the next [`FlowSolver::step`]
-    /// is bit-for-bit the step the interrupted run would have taken.
+    /// is bit-for-bit the step the interrupted run would have taken. The
+    /// ventilation model gets back its controller and cycle state; its
+    /// boundary pressures are the caller's to recompute
+    /// ([`VentilationModel::couple`] with `dt = 0`).
     ///
     /// # Errors
     /// Fails with [`io::ErrorKind::InvalidData`] when any field length
@@ -145,6 +161,10 @@ impl Checkpoint {
         solver.step_count = usize::try_from(self.step_count)
             .map_err(|_| invalid("checkpoint step count overflows usize"))?;
         if let Some(v) = vent {
+            v.last_cycle = usize::try_from(self.last_cycle)
+                .map_err(|_| invalid("checkpoint cycle index overflows usize"))?;
+            v.cycle_inhaled = self.cycle_inhaled;
+            v.tidal_history = self.tidal_history.clone();
             v.settings.delta_p = self.delta_p;
             for (c, &vol) in v.compartments.iter_mut().zip(&self.compartment_volumes) {
                 c.volume = vol;
@@ -167,10 +187,14 @@ impl Checkpoint {
         write_f64s(out, &self.conv_old)?;
         write_f64s(out, &self.pressure)?;
         write_f64s(out, &self.compartment_volumes)?;
+        out.write_all(&self.cycle_inhaled.to_le_bytes())?;
+        out.write_all(&self.last_cycle.to_le_bytes())?;
+        write_f64s(out, &self.tidal_history)?;
         Ok(())
     }
 
-    /// Deserialize; rejects wrong magic/version and truncated input.
+    /// Deserialize a version 2 or 3 stream; rejects wrong magic/version and
+    /// truncated input.
     pub fn read(inp: &mut dyn Read) -> io::Result<Self> {
         let mut magic = [0u8; 8];
         inp.read_exact(&mut magic)?;
@@ -179,7 +203,8 @@ impl Checkpoint {
         }
         let mut b4 = [0u8; 4];
         inp.read_exact(&mut b4)?;
-        if u32::from_le_bytes(b4) != VERSION {
+        let version = u32::from_le_bytes(b4);
+        if version != 2 && version != VERSION {
             return Err(invalid("bad version"));
         }
         let mut b8 = [0u8; 8];
@@ -195,7 +220,7 @@ impl Checkpoint {
         let step_count = u64::from_le_bytes(c8);
         inp.read_exact(&mut c8)?;
         let delta_p = f64::from_le_bytes(c8);
-        Ok(Self {
+        let mut ck = Self {
             time,
             dt,
             dt_old,
@@ -206,7 +231,18 @@ impl Checkpoint {
             conv_old: read_f64s(inp)?,
             pressure: read_f64s(inp)?,
             compartment_volumes: read_f64s(inp)?,
-        })
+            cycle_inhaled: 0.0,
+            last_cycle: 0,
+            tidal_history: Vec::new(),
+        };
+        if version == VERSION {
+            inp.read_exact(&mut c8)?;
+            ck.cycle_inhaled = f64::from_le_bytes(c8);
+            inp.read_exact(&mut c8)?;
+            ck.last_cycle = u64::from_le_bytes(c8);
+            ck.tidal_history = read_f64s(inp)?;
+        }
+        Ok(ck)
     }
 }
 
@@ -226,6 +262,9 @@ mod tests {
             pressure: (0..40).map(|i| -f64::from(i)).collect(),
             delta_p: 1200.0,
             compartment_volumes: vec![1e-4, 2e-4],
+            cycle_inhaled: 3e-4,
+            last_cycle: 7,
+            tidal_history: vec![4.5e-4, 5.1e-4],
         }
     }
 
@@ -236,6 +275,20 @@ mod tests {
         ck.write(&mut buf).unwrap();
         let back = Checkpoint::read(&mut buf.as_slice()).unwrap();
         assert_eq!(ck, back);
+    }
+
+    #[test]
+    fn reads_version_2_with_default_cycle_state() {
+        let mut ck = sample();
+        let mut buf = Vec::new();
+        ck.write(&mut buf).unwrap();
+        // a v2 stream is the v3 one without its trailing cycle state
+        buf[8..12].copy_from_slice(&2u32.to_le_bytes());
+        buf.truncate(buf.len() - 8 * (3 + ck.tidal_history.len()));
+        ck.cycle_inhaled = 0.0;
+        ck.last_cycle = 0;
+        ck.tidal_history.clear();
+        assert_eq!(Checkpoint::read(&mut buf.as_slice()).unwrap(), ck);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The dual-splitting incompressible Navier–Stokes solver (Sec. 2.4):
 //! explicit convective step (1), pressure Poisson step (2), projection (3),
 //! viscous Helmholtz step (4), and the divergence/continuity penalty step
-//! (5), with adaptive CFL time stepping and solution extrapolation for
-//! initial guesses.
+//! (5), with adaptive CFL time stepping. Each linear solve warm-starts
+//! from the previous step's value of its unknown.
 
 use crate::bc::FlowBcs;
 use crate::field::{cell_velocity_scale, for_each_node, n_velocity_dofs, DIM};
@@ -71,7 +71,8 @@ pub struct FlowParams {
     /// Largest admissible time step.
     pub dt_max: f64,
     /// Relative tolerance of the linear sub-solves (paper: 1e-3 in the
-    /// application runs, enabled by extrapolated initial guesses).
+    /// application runs). Each solve starts from the previous step's
+    /// value, not from an extrapolated guess.
     pub rel_tol: f64,
     /// Divergence-penalty factor ζ_D.
     pub zeta_div: f64,
@@ -127,6 +128,23 @@ pub struct StepInfo {
     pub penalty_seconds: f64,
 }
 
+/// Point-Jacobi for the penalty solve: the penalty operator's diagonal
+/// is the velocity mass matrix, so its inverse is the scalar inverse mass
+/// on every component.
+struct InverseMass<'a> {
+    inv_mass: &'a [f64],
+    dpc: usize,
+}
+
+impl Preconditioner<f64> for InverseMass<'_> {
+    fn apply_precond(&self, src: &[f64], dst: &mut [f64]) {
+        let n_cells = self.inv_mass.len() / self.dpc;
+        for_each_node(self.dpc, 0..n_cells, |j, node, _| {
+            dst[j] = src[j] * self.inv_mass[node];
+        });
+    }
+}
+
 /// The incompressible flow solver.
 pub struct FlowSolver<const L: usize> {
     /// Velocity space (degree k).
@@ -139,7 +157,9 @@ pub struct FlowSolver<const L: usize> {
     pub params: FlowParams,
     helmholtz: HelmholtzOperator<f64, L>,
     pressure_op: LaplaceOperator<f64, L>,
-    pressure_mg: Option<MixedPrecisionMg<L>>,
+    /// Hybrid multigrid, or point-Jacobi on the pressure diagonal (which
+    /// depends only on the boundary kinds, so it is built once).
+    pressure_pre: Box<dyn Preconditioner<f64> + Send>,
     inv_mass_scalar: Vec<f64>,
     /// Velocity at `t^n` / `t^{n-1}`.
     pub velocity: Vec<f64>,
@@ -202,8 +222,8 @@ impl<const L: usize> FlowSolver<L> {
         let mass_w: Vec<f64> = MassOperator::new(&mf_u).weights();
         let helmholtz = HelmholtzOperator::new(visc_lap, mass_w.clone(), params.viscosity);
         let pressure_op = LaplaceOperator::with_bc(mf_p.clone(), bcs.pressure_poisson_bc());
-        let pressure_mg = if params.use_multigrid {
-            Some(MixedPrecisionMg::<L> {
+        let pressure_pre: Box<dyn Preconditioner<f64> + Send> = if params.use_multigrid {
+            Box::new(MixedPrecisionMg::<L> {
                 mg: HybridMultigrid::<f32, L>::build(
                     forest,
                     manifold,
@@ -213,7 +233,7 @@ impl<const L: usize> FlowSolver<L> {
                 ),
             })
         } else {
-            None
+            Box::new(JacobiPreconditioner::new(pressure_op.compute_diagonal()))
         };
         let inv_mass_scalar: Vec<f64> = mass_w.iter().map(|w| 1.0 / w).collect();
         let h_cell: Vec<f64> = mf_u.cell_volumes.iter().map(|v| v.cbrt()).collect();
@@ -223,7 +243,7 @@ impl<const L: usize> FlowSolver<L> {
         Self {
             helmholtz,
             pressure_op,
-            pressure_mg,
+            pressure_pre,
             inv_mass_scalar,
             velocity: vec![0.0; n_u],
             velocity_old: vec![0.0; n_u],
@@ -298,17 +318,9 @@ impl<const L: usize> FlowSolver<L> {
         for (r, d) in prhs.iter_mut().zip(&div) {
             *r -= gamma_dt * d;
         }
-        let jac;
-        let precond: &dyn Preconditioner<f64> = match &self.pressure_mg {
-            Some(mg) => mg,
-            None => {
-                jac = JacobiPreconditioner::new(self.pressure_op.compute_diagonal());
-                &jac
-            }
-        };
         let pres = cg_solve(
             &self.pressure_op,
-            precond,
+            &*self.pressure_pre,
             &prhs,
             &mut self.pressure,
             self.params.rel_tol,
@@ -372,11 +384,10 @@ impl<const L: usize> FlowSolver<L> {
         // M u*
         let mut pen_rhs = u_star.clone();
         for_each_node(dpc, 0..n_cells, |j, node, _| pen_rhs[j] /= inv_mass[node]);
-        let pen_pre = JacobiPreconditioner::new(dgflow_solvers::LinearOperator::diagonal(&pen));
         let mut u_new = u_star.clone();
         let pres_pen = cg_solve(
             &pen,
-            &pen_pre,
+            &InverseMass { inv_mass, dpc },
             &pen_rhs,
             &mut u_new,
             self.params.rel_tol,

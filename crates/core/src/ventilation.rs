@@ -4,6 +4,7 @@
 //! controller.
 
 use crate::bc::{BcKind, FlowBcs};
+use crate::solver::FlowSolver;
 use dgflow_lung::{LungMesh, INLET_ID, OUTLET_ID0};
 
 /// cmH₂O → Pa.
@@ -109,7 +110,9 @@ pub struct VentilationModel {
     pub cycle_inhaled: f64,
     /// Completed-cycle tidal volumes (controller history).
     pub tidal_history: Vec<f64>,
-    last_cycle: usize,
+    /// Breathing cycle of the last update (the controller acts when `t`
+    /// enters a later one).
+    pub(crate) last_cycle: usize,
 }
 
 /// Poiseuille resistance of one branch (Pa·s/m³).
@@ -193,9 +196,26 @@ impl VentilationModel {
         }
     }
 
+    /// Couple the 0-D models to `solver` after a step of size `dt`: measure
+    /// the inlet and every outlet flow, advance the models with them at
+    /// `solver.time`, and set the solver's boundary pressures. `dt = 0`
+    /// only recomputes the pressures from the current state (priming at
+    /// t = 0, or after a restore). Returns the inlet flow and the summed
+    /// outlet flow, both positive out of the domain.
+    pub fn couple<const L: usize>(&mut self, solver: &mut FlowSolver<L>, dt: f64) -> (f64, f64) {
+        let inlet = solver.flow_rate(INLET_ID);
+        let outlets: Vec<f64> = (0..self.compartments.len() as u32)
+            .map(|i| solver.flow_rate(OUTLET_ID0 + i))
+            .collect();
+        let rho = solver.density();
+        self.update(solver.time, dt, inlet, &outlets, rho, &mut solver.bcs);
+        (inlet, outlets.iter().sum())
+    }
+
     /// Advance the 0-D models by `dt` given the 3-D flow rates (positive =
     /// out of the 3-D domain), and update the boundary pressures in `bcs`
-    /// (kinematic units: Pa / ρ).
+    /// (kinematic units: Pa / ρ). Drivers call [`VentilationModel::couple`],
+    /// which measures the flows; this is its step for given flows.
     ///
     /// `outlet_flows[i]` is the flow through outlet `i`; `inlet_flow` the
     /// flow through the tracheal inlet (negative during inhalation).
@@ -320,6 +340,62 @@ mod tests {
         model.update(3.01, 0.01, 0.0, &[0.0], 1.2, &mut bcs);
         assert!((model.settings.delta_p - 2.0 * dp0).abs() < 1e-9);
         assert_eq!(model.tidal_history.len(), 1);
+    }
+
+    #[test]
+    fn checkpoint_restores_the_controller_mid_cycle() {
+        use crate::checkpoint::Checkpoint;
+        use crate::{FlowParams, FlowSolver};
+        use dgflow_mesh::{CoarseMesh, Forest, TrilinearManifold};
+        // a two-cell duct carries the flow state the checkpoint needs
+        let forest = Forest::new(CoarseMesh::subdivided_box([2, 1, 1], [2.0, 1.0, 1.0]));
+        let manifold = TrilinearManifold::from_forest(&forest);
+        let mut params = FlowParams::new(2);
+        params.use_multigrid = false;
+        let bcs = FlowBcs::new(vec![BcKind::Wall, BcKind::Pressure, BcKind::Pressure]);
+        let mut solver = FlowSolver::<4>::new(&forest, &manifold, params, bcs);
+        let fresh = || VentilationModel {
+            settings: VentilatorSettings::default(),
+            compartments: vec![Compartment {
+                resistance: 1e5,
+                compliance: 1e-6,
+                volume: 0.0,
+            }],
+            cycle_inhaled: 0.0,
+            tidal_history: Vec::new(),
+            last_cycle: 0,
+        };
+        // 0.1 l/s in while inhaling, out otherwise; Δt = 0.05 s, T = 3 s
+        let drive = |m: &mut VentilationModel, n: u32, bcs: &mut FlowBcs| {
+            let t = f64::from(n) * 0.05;
+            let q = if m.inhaling(t) { -1e-4 } else { 5e-5 };
+            m.update(t, 0.05, q, &[-q], 1.2, bcs);
+        };
+        let mut whole = fresh();
+        for n in 1..=70 {
+            drive(&mut whole, n, &mut solver.bcs);
+        }
+        // mid-inhalation of the second cycle: a boundary behind, one ahead
+        assert!(whole.cycle_inhaled > 0.0 && whole.tidal_history.len() == 1);
+        let mut buf = Vec::new();
+        Checkpoint::capture(&solver, Some(&whole))
+            .write(&mut buf)
+            .unwrap();
+        let mut resumed = fresh();
+        Checkpoint::read(&mut buf.as_slice())
+            .unwrap()
+            .restore(&mut solver, Some(&mut resumed))
+            .unwrap();
+        for n in 71..=130 {
+            drive(&mut whole, n, &mut solver.bcs);
+            drive(&mut resumed, n, &mut solver.bcs);
+        }
+        let bits = |m: &VentilationModel| -> Vec<u64> {
+            let history = m.tidal_history.iter().map(|v| v.to_bits());
+            history.chain([m.settings.delta_p.to_bits()]).collect()
+        };
+        assert_eq!(whole.tidal_history.len(), 2);
+        assert_eq!(bits(&resumed), bits(&whole));
     }
 
     #[test]

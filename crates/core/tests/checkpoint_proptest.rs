@@ -34,6 +34,9 @@ fn sample(seed: u64, n_u: usize, n_p: usize, n_c: usize) -> Checkpoint {
         pressure: field(seed ^ 4, n_p),
         delta_p: 1200.0,
         compartment_volumes: field(seed ^ 5, n_c),
+        cycle_inhaled: field(seed ^ 6, 1)[0].abs(),
+        last_cycle: seed % 1000,
+        tidal_history: field(seed ^ 7, n_c),
     }
 }
 

@@ -116,32 +116,17 @@ fn ventilated_bifurcation_inhales() {
     let mut vent = VentilationModel::from_lung(&mesh, VentilatorSettings::default());
     let mut solver = FlowSolver::<L>::new(&forest, &manifold, params, bcs);
     // prime the boundary pressures at t=0
-    let flows0 = vec![0.0; mesh.outlets.len()];
-    let rho = solver.density();
-    vent.update(0.0, 0.0, 0.0, &flows0, rho, &mut solver.bcs);
+    vent.couple(&mut solver, 0.0);
     let mut total_in = 0.0;
     for _ in 0..25 {
         let info = solver.step();
-        let inlet_flow = solver.flow_rate(dgflow_lung::INLET_ID);
-        let outlet_flows: Vec<f64> = mesh
-            .outlets
-            .iter()
-            .map(|o| solver.flow_rate(o.boundary_id))
-            .collect();
+        let (inlet_flow, outlet_flow) = vent.couple(&mut solver, info.dt);
         assert!(
-            inlet_flow.is_finite() && outlet_flows.iter().all(|q| q.is_finite()),
+            inlet_flow.is_finite() && outlet_flow.is_finite(),
             "flow diverged at step {}",
             solver.step_count
         );
         total_in += -inlet_flow * info.dt;
-        vent.update(
-            solver.time,
-            info.dt,
-            inlet_flow,
-            &outlet_flows,
-            rho,
-            &mut solver.bcs,
-        );
     }
     // the ventilator pushes air in during inhalation
     assert!(total_in > 0.0, "no inhaled volume: {total_in}");

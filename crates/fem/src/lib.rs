@@ -19,4 +19,4 @@ pub use distributed::{
 };
 pub use geometry::{CellGeometry, FaceGeometry, Mapping};
 pub use matrixfree::{MatrixFree, MfGeometry, MfParams};
-pub use operators::{BoundaryCondition, InverseMassOperator, LaplaceOperator, MassOperator};
+pub use operators::{BoundaryCondition, LaplaceOperator, MassOperator};

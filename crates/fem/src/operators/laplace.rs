@@ -187,7 +187,7 @@ impl<T: Real, const L: usize> LaplaceOperator<T, L> {
         let mut rhs = vec![T::ZERO; mf.n_dofs()];
         let dst = SharedMut::new(&mut rhs);
         let dpc = mf.dofs_per_cell;
-        // serial: assembly happens once
+        // serial; runs on every pressure step of the flow solver
         let mut sm = FaceScratch::<T, L>::new(mf);
         for (bi, b) in mf.face_batches.iter().enumerate() {
             let cat = b.category;

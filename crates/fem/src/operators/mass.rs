@@ -1,9 +1,9 @@
-//! Mass operator and its fast inverse.
+//! Mass operator.
 //!
 //! With the Gauss-collocated nodal basis the element mass matrix is exactly
 //! `diag(det J(x_q) w_q)` — the ExaDG choice that makes `M^{-1}` a pointwise
-//! scaling (the preconditioner of the explicit sub-steps and of the viscous/
-//! penalty CG solves).
+//! scaling by the reciprocal [`MassOperator::weights`] (the flow solver's
+//! explicit sub-steps and penalty preconditioner use it).
 
 use crate::matrixfree::MatrixFree;
 use crate::operators::functions::for_each_point;
@@ -48,33 +48,5 @@ impl<'a, T: Real, const L: usize> LinearOperator<T> for MassOperator<'a, T, L> {
     }
     fn diagonal(&self) -> Vec<T> {
         self.weights()
-    }
-}
-
-/// The inverse mass operator (pointwise division by `jxw`).
-pub struct InverseMassOperator<T> {
-    inv_w: Vec<T>,
-}
-
-impl<T: Real> InverseMassOperator<T> {
-    /// Build from a collocated context.
-    pub fn new<const L: usize>(mf: &MatrixFree<T, L>) -> Self {
-        let w = MassOperator::new(mf).weights();
-        Self {
-            inv_w: w.into_iter().map(|x| T::ONE / x).collect(),
-        }
-    }
-
-    /// `dst = M^{-1} src`.
-    pub fn apply(&self, src: &[T], dst: &mut [T]) {
-        for ((d, s), iw) in dst.iter_mut().zip(src).zip(&self.inv_w) {
-            *d = *s * *iw;
-        }
-    }
-}
-
-impl<T: Real> dgflow_solvers::Preconditioner<T> for InverseMassOperator<T> {
-    fn apply_precond(&self, src: &[T], dst: &mut [T]) {
-        self.apply(src, dst);
     }
 }

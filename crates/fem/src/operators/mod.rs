@@ -9,4 +9,4 @@ pub use functions::{
     for_each_point, integrate_rhs, interpolate, interpolate_nodal, l2_error, l2_norm,
 };
 pub use laplace::{BoundaryCondition, LaplaceOperator};
-pub use mass::{InverseMassOperator, MassOperator};
+pub use mass::MassOperator;

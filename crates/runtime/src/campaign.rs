@@ -45,7 +45,7 @@ use dgflow_comm::CancelToken;
 use dgflow_core::bc::{BcKind, FlowBcs};
 use dgflow_core::checkpoint::Checkpoint;
 use dgflow_core::{FlowParams, FlowSolver, VentilationModel, VentilatorSettings};
-use dgflow_lung::{lung_mesh, INLET_ID};
+use dgflow_lung::lung_mesh;
 use dgflow_mesh::{CoarseMesh, Forest, TrilinearManifold};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -94,10 +94,10 @@ impl AbortAfter {
 }
 
 /// A constructed case: solver plus (for lung cases) the ventilation
-/// model and the outlet boundary ids it is coupled to.
+/// model coupled to it.
 struct ActiveCase {
     solver: FlowSolver<LANES>,
-    vent: Option<(VentilationModel, Vec<u32>)>,
+    vent: Option<VentilationModel>,
 }
 
 impl ActiveCase {
@@ -128,63 +128,37 @@ impl ActiveCase {
                 let forest = Forest::new(mesh.coarse.clone());
                 let manifold = TrilinearManifold::from_forest(&forest);
                 let bcs = VentilationModel::make_bcs(&mesh);
-                let vent = VentilationModel::from_lung(&mesh, VentilatorSettings::default());
-                let outlets: Vec<u32> = mesh.outlets.iter().map(|o| o.boundary_id).collect();
-                let solver = FlowSolver::with_setup(&forest, &manifold, params, bcs, cache);
-                let mut this = Self {
+                let mut vent = VentilationModel::from_lung(&mesh, VentilatorSettings::default());
+                let mut solver = FlowSolver::with_setup(&forest, &manifold, params, bcs, cache);
+                vent.couple(&mut solver, 0.0);
+                Self {
                     solver,
-                    vent: Some((vent, outlets)),
-                };
-                this.sync_ventilator(0.0);
-                this
+                    vent: Some(vent),
+                }
             }
-        }
-    }
-
-    /// Recompute the outlet/inlet boundary data from the current state
-    /// without integrating compartment volumes (`dt = 0`).
-    fn sync_ventilator(&mut self, time: f64) {
-        let rho = self.solver.density();
-        if let Some((vent, outlets)) = &mut self.vent {
-            let inlet = self.solver.flow_rate(INLET_ID);
-            let flows: Vec<f64> = outlets
-                .iter()
-                .map(|&id| self.solver.flow_rate(id))
-                .collect();
-            vent.update(time, 0.0, inlet, &flows, rho, &mut self.solver.bcs);
         }
     }
 
     /// Advance one step and couple the ventilation model.
     fn step(&mut self) -> dgflow_core::StepInfo {
         let info = self.solver.step();
-        let rho = self.solver.density();
-        if let Some((vent, outlets)) = &mut self.vent {
-            let inlet = self.solver.flow_rate(INLET_ID);
-            let flows: Vec<f64> = outlets
-                .iter()
-                .map(|&id| self.solver.flow_rate(id))
-                .collect();
-            vent.update(
-                self.solver.time,
-                info.dt,
-                inlet,
-                &flows,
-                rho,
-                &mut self.solver.bcs,
-            );
+        if let Some(vent) = &mut self.vent {
+            vent.couple(&mut self.solver, info.dt);
         }
         info
     }
 
     fn capture(&self) -> Checkpoint {
-        Checkpoint::capture(&self.solver, self.vent.as_ref().map(|(v, _)| v))
+        Checkpoint::capture(&self.solver, self.vent.as_ref())
     }
 
+    /// Restore a checkpoint and recompute the boundary pressures the
+    /// ventilator derives from the restored state.
     fn restore(&mut self, ck: &Checkpoint) -> io::Result<()> {
-        ck.restore(&mut self.solver, self.vent.as_mut().map(|(v, _)| v))?;
-        let t = self.solver.time;
-        self.sync_ventilator(t);
+        ck.restore(&mut self.solver, self.vent.as_mut())?;
+        if let Some(vent) = &mut self.vent {
+            vent.couple(&mut self.solver, 0.0);
+        }
         Ok(())
     }
 }
@@ -532,6 +506,50 @@ pressure_drop = 0.1
         );
         let spec = CampaignSpec::parse_str(&text, "test.toml").unwrap();
         (spec, text)
+    }
+
+    #[test]
+    fn lung_case_resumes_bit_for_bit() {
+        let text = r#"
+[campaign]
+name = "lung"
+output = "unused"
+
+[[case]]
+name = "lung"
+mesh = "lung"
+generations = 1
+degree = 2
+steps = 4
+dt_max = 2e-4
+rel_tol = 1e-4
+"#;
+        let case = CampaignSpec::parse_str(text, "test.toml").unwrap().cases[0].clone();
+        let cache = SetupCache::new();
+        let bytes = |active: &ActiveCase| {
+            let mut buf = Vec::new();
+            active.capture().write(&mut buf).unwrap();
+            buf
+        };
+        let mut whole = ActiveCase::build(&case, &cache);
+        while whole.solver.step_count < case.steps {
+            whole.step();
+        }
+        let mut killed = ActiveCase::build(&case, &cache);
+        for _ in 0..2 {
+            killed.step();
+        }
+        let ck = Checkpoint::read(&mut bytes(&killed).as_slice()).unwrap();
+        let mut resumed = ActiveCase::build(&case, &cache);
+        resumed.restore(&ck).unwrap();
+        while resumed.solver.step_count < case.steps {
+            resumed.step();
+        }
+        assert!(whole.vent.as_ref().unwrap().cycle_inhaled > 0.0);
+        assert!(
+            bytes(&resumed) == bytes(&whole),
+            "resumed lung case diverged"
+        );
     }
 
     #[test]

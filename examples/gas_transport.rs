@@ -26,15 +26,7 @@ fn main() {
     let bcs = VentilationModel::make_bcs(&mesh);
     let mut vent = VentilationModel::from_lung(&mesh, VentilatorSettings::default());
     let mut solver = FlowSolver::<8>::new(&forest, &manifold, params, bcs);
-    let rho = solver.density();
-    vent.update(
-        0.0,
-        0.0,
-        0.0,
-        &vec![0.0; mesh.outlets.len()],
-        rho,
-        &mut solver.bcs,
-    );
+    vent.couple(&mut solver, 0.0);
 
     // scalar: fresh gas at the inlet, outflow elsewhere
     let mut sc_bcs = vec![ScalarBc::Outflow; 2 + mesh.outlets.len()];
@@ -53,13 +45,7 @@ fn main() {
     let mut dt_old = solver.dt;
     for step in 0..60 {
         let info = solver.step();
-        let q_in = -solver.flow_rate(INLET_ID);
-        let flows: Vec<f64> = mesh
-            .outlets
-            .iter()
-            .map(|o| solver.flow_rate(o.boundary_id))
-            .collect();
-        vent.update(solver.time, info.dt, -q_in, &flows, rho, &mut solver.bcs);
+        let q_in = -vent.couple(&mut solver, info.dt).0;
         scalar.step(&solver.velocity, info.dt, info.dt / dt_old);
         dt_old = info.dt;
         if step % 10 == 9 {

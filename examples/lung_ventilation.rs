@@ -40,14 +40,7 @@ fn main() {
 
     let mut solver = FlowSolver::<8>::new(&forest, &manifold, params, bcs);
     let rho = solver.density();
-    vent.update(
-        0.0,
-        0.0,
-        0.0,
-        &vec![0.0; mesh.outlets.len()],
-        rho,
-        &mut solver.bcs,
-    );
+    vent.couple(&mut solver, 0.0);
 
     println!();
     println!(
@@ -57,21 +50,8 @@ fn main() {
     let mut inhaled = 0.0;
     for step in 0..n_steps {
         let info = solver.step();
-        let q_in = -solver.flow_rate(dgflow::lung::INLET_ID);
-        let outlet_flows: Vec<f64> = mesh
-            .outlets
-            .iter()
-            .map(|o| solver.flow_rate(o.boundary_id))
-            .collect();
+        let q_in = -vent.couple(&mut solver, info.dt).0;
         inhaled += q_in * info.dt;
-        vent.update(
-            solver.time,
-            info.dt,
-            -q_in,
-            &outlet_flows,
-            rho,
-            &mut solver.bcs,
-        );
         if step % 5 == 0 {
             println!(
                 "{:>8.2} {:>10.1} {:>12.2} {:>12.4} {:>12.2}",

@@ -3,7 +3,7 @@
 
 use dgflow::core::{FlowParams, FlowSolver, VentilationModel, VentilatorSettings};
 use dgflow::fem::BoundaryCondition;
-use dgflow::lung::{lung_mesh, INLET_ID};
+use dgflow::lung::lung_mesh;
 use dgflow::mesh::{CoarseMesh, Forest, TrilinearManifold};
 use dgflow::multigrid::{solve_poisson, HybridMultigrid, LevelOp, MgParams};
 use std::sync::Arc;
@@ -60,28 +60,14 @@ fn ventilated_lung_with_multigrid_runs() {
     let mut solver = FlowSolver::<4>::new(&forest, &manifold, params, bcs);
     // the pressure space integrates on the velocity space's points
     assert!(Arc::ptr_eq(&solver.mf_u.geometry, &solver.mf_p.geometry));
-    let rho = solver.density();
-    vent.update(
-        0.0,
-        0.0,
-        0.0,
-        &vec![0.0; mesh.outlets.len()],
-        rho,
-        &mut solver.bcs,
-    );
+    vent.couple(&mut solver, 0.0);
     let mut inhaled = 0.0;
     for _ in 0..6 {
         let info = solver.step();
         assert!(info.pressure_iterations <= 60, "{info:?}");
-        let q_in = -solver.flow_rate(INLET_ID);
-        assert!(q_in.is_finite());
-        inhaled += q_in * info.dt;
-        let flows: Vec<f64> = mesh
-            .outlets
-            .iter()
-            .map(|o| solver.flow_rate(o.boundary_id))
-            .collect();
-        vent.update(solver.time, info.dt, -q_in, &flows, rho, &mut solver.bcs);
+        let (inlet, _) = vent.couple(&mut solver, info.dt);
+        assert!(inlet.is_finite());
+        inhaled -= inlet * info.dt;
     }
     assert!(inhaled > 0.0, "ventilator failed to drive flow: {inhaled}");
 }

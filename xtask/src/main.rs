@@ -280,10 +280,11 @@ fn build_dgflow_bin() -> bool {
 }
 
 /// Fault-tolerance smoke test of the campaign runtime, end to end
-/// through the real `dgflow` binary: run a 2-case toy campaign, kill the
-/// process right after the 2nd checkpoint (simulated power loss via the
-/// `DGFLOW_TEST_ABORT_AFTER_CHECKPOINTS` knob), resume, and assert the
-/// manifest reports every case completed.
+/// through the real `dgflow` binary: run a 3-case toy campaign (a short
+/// ventilated lung, then two ducts), kill the process right after the 2nd
+/// checkpoint (simulated power loss via the
+/// `DGFLOW_TEST_ABORT_AFTER_CHECKPOINTS` knob, mid-way through the lung
+/// case), resume, and assert the manifest reports every case completed.
 fn runtime_smoke() -> bool {
     if !build_dgflow_bin() {
         return false;
@@ -299,6 +300,8 @@ fn runtime_smoke() -> bool {
     let spec = dir.join("campaign.toml");
     let text = format!(
         "[campaign]\nname = \"smoke\"\noutput = \"{}\"\ncheckpoint_every = 2\n\n\
+         [[case]]\nname = \"lung\"\nmesh = \"lung\"\ngenerations = 1\ndegree = 2\n\
+         steps = 6\ndt_max = 2e-4\nrel_tol = 1e-4\n\n\
          [[case]]\nname = \"a\"\nmesh = \"duct\"\ndegree = 2\nsteps = 6\n\
          dt_max = 0.01\nviscosity = 0.5\nmultigrid = false\npressure_drop = 0.1\n\n\
          [[case]]\nname = \"b\"\nmesh = \"duct\"\ndegree = 3\nsteps = 4\n\
@@ -342,7 +345,7 @@ fn runtime_smoke() -> bool {
         }
     };
     let completed = manifest.matches("\"completed\"").count();
-    let clean = completed == 2
+    let clean = completed == 3
         && !manifest.contains("\"pending\"")
         && !manifest.contains("\"running\"")
         && !manifest.contains("\"failed\"");
@@ -351,7 +354,7 @@ fn runtime_smoke() -> bool {
         return false;
     }
     let _ = std::fs::remove_dir_all(&dir);
-    eprintln!("xtask: runtime-smoke: kill + resume completed both cases");
+    eprintln!("xtask: runtime-smoke: kill + resume completed all three cases");
     true
 }
 
