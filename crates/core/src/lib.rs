@@ -16,7 +16,8 @@ pub use bc::{BcKind, FlowBcs};
 pub use checkpoint::Checkpoint;
 pub use field::{interpolate_velocity, velocity_l2_error, DIM};
 pub use operators::{
-    boundary_flow_rate, convective_term, divergence, gradient, HelmholtzOperator, PenaltyOperator,
+    boundary_flow_rate, boundary_flow_rates, convective_term, divergence, gradient,
+    HelmholtzOperator, PenaltyOperator,
 };
 pub use recorder::{RunRecorder, RunSummary, Sample};
 pub use scalar::{advect_term, ScalarBc, ScalarTransport};

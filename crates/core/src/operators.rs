@@ -491,23 +491,48 @@ pub fn boundary_flow_rate<T: Real, const L: usize>(
     boundary_id: u32,
     u: &[T],
 ) -> f64 {
+    boundary_flow_rates(mf, &[boundary_id], u)[0]
+}
+
+/// Flow rates `∫_Γ u·n` through the faces of each boundary id in `ids`
+/// (positive = out of the domain), in one pass over the face batches.
+/// Each id's sum runs in batch order, so entry `k` equals
+/// [`boundary_flow_rate`] of `ids[k]` bit for bit.
+pub fn boundary_flow_rates<T: Real, const L: usize>(
+    mf: &MatrixFree<T, L>,
+    ids: &[u32],
+    u: &[T],
+) -> Vec<f64> {
     let nq2 = mf.n_q() * mf.n_q();
+    // the sum of each distinct id, and the sum of each requested id
+    let mut slot = std::collections::HashMap::new();
+    let of_id: Vec<usize> = ids
+        .iter()
+        .map(|&id| {
+            let n = slot.len();
+            *slot.entry(id).or_insert(n)
+        })
+        .collect();
+    let mut totals = vec![0.0; slot.len()];
     let mut sm = FaceScratch::<T, L>::new(mf);
-    let mut total = 0.0;
     for (bi, b) in mf.face_batches.iter().enumerate() {
         let cat = b.category;
-        if !cat.is_boundary || cat.boundary_id != boundary_id {
+        if !cat.is_boundary {
             continue;
         }
+        let Some(&k) = slot.get(&cat.boundary_id) else {
+            continue;
+        };
+        let total = &mut totals[k];
         let g = &mf.face_geometry[bi];
         read_face(mf, bi, u, &mut sm, None, |d, m, _| {
             for q in 0..nq2 {
                 let c = m[q] * g.normal[q * 3 + d] * g.jxw[q];
                 for l in 0..b.n_filled {
-                    total += c[l].to_f64();
+                    *total += c[l].to_f64();
                 }
             }
         });
     }
-    total
+    of_id.into_iter().map(|k| totals[k]).collect()
 }

@@ -432,6 +432,12 @@ impl<const L: usize> FlowSolver<L> {
         crate::operators::boundary_flow_rate(&self.mf_u, boundary_id, &self.velocity)
     }
 
+    /// Flow rates through each boundary id in `ids`, in one pass over the
+    /// faces; entry `k` equals [`FlowSolver::flow_rate`] of `ids[k]`.
+    pub fn flow_rates(&self, ids: &[u32]) -> Vec<f64> {
+        crate::operators::boundary_flow_rates(&self.mf_u, ids, &self.velocity)
+    }
+
     /// Kinematic → physical pressure conversion factor (ρ).
     pub fn density(&self) -> f64 {
         self.params.density

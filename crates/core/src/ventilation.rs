@@ -203,12 +203,13 @@ impl VentilationModel {
     /// t = 0, or after a restore). Returns the inlet flow and the summed
     /// outlet flow, both positive out of the domain.
     pub fn couple<const L: usize>(&mut self, solver: &mut FlowSolver<L>, dt: f64) -> (f64, f64) {
-        let inlet = solver.flow_rate(INLET_ID);
-        let outlets: Vec<f64> = (0..self.compartments.len() as u32)
-            .map(|i| solver.flow_rate(OUTLET_ID0 + i))
+        let ids: Vec<u32> = std::iter::once(INLET_ID)
+            .chain((0..self.compartments.len() as u32).map(|i| OUTLET_ID0 + i))
             .collect();
+        let rates = solver.flow_rates(&ids);
+        let (inlet, outlets) = (rates[0], &rates[1..]);
         let rho = solver.density();
-        self.update(solver.time, dt, inlet, &outlets, rho, &mut solver.bcs);
+        self.update(solver.time, dt, inlet, outlets, rho, &mut solver.bcs);
         (inlet, outlets.iter().sum())
     }
 

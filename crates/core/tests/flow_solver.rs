@@ -142,6 +142,30 @@ fn ventilated_bifurcation_inhales() {
     assert!(solver.bcs.pressure(dgflow_lung::OUTLET_ID0) > 0.0);
 }
 
+/// The one-pass flow rates of a g = 1 lung equal the per-id calls bit for
+/// bit, for the inlet, every outlet and the walls, in any order and with
+/// repeats.
+#[test]
+fn flow_rates_match_per_id_calls_bitwise() {
+    let mesh = dgflow_lung::lung_mesh(1);
+    let forest = Forest::new(mesh.coarse.clone());
+    let manifold = TrilinearManifold::from_forest(&forest);
+    let bcs = VentilationModel::make_bcs(&mesh);
+    let mut solver = FlowSolver::<L>::new(&forest, &manifold, FlowParams::new(2), bcs);
+    let u = dgflow_core::interpolate_velocity(&solver.mf_u, &|x| {
+        let s = (200.0 * x[0]).sin() * (150.0 * x[1]).cos();
+        [1e-2 * s, -5e-3 * s, 2e-2 + 1e-2 * (120.0 * x[2]).sin()]
+    });
+    solver.set_velocity(u);
+    let mut ids = vec![dgflow_lung::INLET_ID, 0];
+    ids.extend(mesh.outlets.iter().rev().map(|o| o.boundary_id));
+    ids.push(dgflow_lung::INLET_ID);
+    let bits = |q: &[f64]| q.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let each: Vec<f64> = ids.iter().map(|&id| solver.flow_rate(id)).collect();
+    assert!(each.iter().all(|q| *q != 0.0), "{each:?}");
+    assert_eq!(bits(&solver.flow_rates(&ids)), bits(&each));
+}
+
 /// Energy stability: in a closed box with no forcing, the discretization
 /// (LLF convective flux + SIPG viscosity + penalty) must dissipate kinetic
 /// energy monotonically — the robustness property of Fehn et al. the

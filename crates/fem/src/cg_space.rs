@@ -15,7 +15,9 @@ use crate::evaluator::{
 use crate::matrixfree::{tangential, MatrixFree, MfParams};
 use crate::operators::laplace::BoundaryCondition;
 use crate::operators::sipg::{
-    boundary_column, cell_column, contract_two_stage, nitsche_boundary_term, nitsche_lifting,
+    cell_column, cell_diagonal, cell_diagonal_reference, contract_two_stage, face_column,
+    face_diagonal, face_diagonal_reference, nitsche_boundary_term, nitsche_lifting, DiagonalTables,
+    FaceSide,
 };
 use crate::util::{par_map, IntMap, SharedMut};
 use dgflow_mesh::{Forest, Manifold};
@@ -572,76 +574,93 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
         rhs
     }
 
-    /// Walk the columns of every local matrix, the cell blocks first, then
-    /// the Nitsche boundary blocks. Each batch's columns are computed on
-    /// the pool and reduced by `keep(j, column)`; then `f(cell, j, kept,
-    /// lane)` runs serially for each filled lane of each column `j`, in
-    /// batch order, so sums into shared dofs do not depend on the thread
-    /// count.
-    fn local_columns<R: Send>(
+    /// Compute `cell(bi, s)` for every cell batch and `face(bi, s)` for
+    /// every Nitsche boundary face batch on the pool, then call
+    /// `walk(lanes, n_filled, result)` serially, the cell batches first,
+    /// in batch order, so sums into shared dofs do not depend on the
+    /// thread count.
+    fn local_blocks<R: Send>(
         &self,
-        keep: impl Fn(usize, &[Simd<T, L>]) -> R + Sync,
-        mut f: impl FnMut(u32, usize, &R, usize),
+        cell: impl Fn(usize, &mut CellScratch<T, L>) -> R + Sync,
+        face: impl Fn(usize, &mut FaceScratch<T, L>) -> R + Sync,
+        mut walk: impl FnMut(&[u32; L], usize, &R),
     ) {
         let mf = &*self.space.mf;
-        let dpc = mf.dofs_per_cell;
         let cells = par_map(
             mf.cell_batches.len(),
             || CellScratch::<T, L>::new(mf),
-            |s, bi| {
-                (0..dpc)
-                    .map(|j| {
-                        cell_column(mf, bi, j, s);
-                        keep(j, &s.dofs)
-                    })
-                    .collect::<Vec<_>>()
-            },
+            |s, bi| cell(bi, s),
         );
         let faces = par_map(
             mf.face_batches.len(),
             || FaceScratch::<T, L>::new(mf),
-            |s, bi| {
-                self.nitsche_plan(bi).map(|_| {
-                    (0..dpc)
-                        .map(|j| {
-                            boundary_column(mf, bi, j, s);
-                            keep(j, &s.dofs)
-                        })
-                        .collect::<Vec<_>>()
-                })
-            },
+            |s, bi| self.nitsche_plan(bi).map(|_| face(bi, s)),
         );
-        let mut walk = |lanes: &[u32; L], n_filled: usize, columns: &[R]| {
-            for (j, kept) in columns.iter().enumerate() {
-                for l in 0..n_filled {
-                    f(lanes[l], j, kept, l);
-                }
-            }
-        };
-        for (b, columns) in mf.cell_batches.iter().zip(&cells) {
-            walk(&b.cells, b.n_filled, columns);
+        for (b, r) in mf.cell_batches.iter().zip(&cells) {
+            walk(&b.cells, b.n_filled, r);
         }
-        for (b, columns) in mf.face_batches.iter().zip(&faces) {
-            if let Some(columns) = columns {
-                walk(&b.minus, b.n_filled, columns);
+        for (b, r) in mf.face_batches.iter().zip(&faces) {
+            if let Some(r) = r {
+                walk(&b.minus, b.n_filled, r);
             }
         }
     }
 
     /// Approximate diagonal (exact on cell blocks, constraint-distributed
-    /// with squared weights — the standard matrix-free approximation).
+    /// with squared weights — the standard matrix-free approximation). The
+    /// local block diagonals come by sum factorization (see
+    /// [`cell_diagonal`], [`face_diagonal`]).
     pub fn compute_diagonal(&self) -> Vec<T> {
+        let mf = &*self.space.mf;
+        let tables = DiagonalTables::new(mf);
+        self.diagonal_with(
+            |bi, s| cell_diagonal(mf, &tables, &self.coeff[bi], s),
+            |bi, s| face_diagonal(mf, &tables, bi, FaceSide::Boundary, s),
+        )
+    }
+
+    /// The diagonal through the reference kernels: every column of every
+    /// local matrix in full, keeping its own entry. Exists so the
+    /// kernel-equivalence suite can pin
+    /// [`CgLaplaceOperator::compute_diagonal`] against it.
+    pub fn diagonal_reference(&self) -> Vec<T> {
+        let mf = &*self.space.mf;
+        self.diagonal_with(
+            |bi, s| cell_diagonal_reference(mf, bi, s),
+            |bi, s| face_diagonal_reference(mf, bi, FaceSide::Boundary, s),
+        )
+    }
+
+    /// Distribute the local block diagonals that `cell(bi, s)` and
+    /// `face(bi, s)` leave in `s.dofs` through the constraint rows, with
+    /// squared weights, local dof by local dof and lane by lane.
+    fn diagonal_with(
+        &self,
+        cell: impl Fn(usize, &mut CellScratch<T, L>) + Sync,
+        face: impl Fn(usize, &mut FaceScratch<T, L>) + Sync,
+    ) -> Vec<T> {
         let space = &*self.space;
         let dpc = space.mf.dofs_per_cell;
         let mut diag = vec![T::ZERO; space.n_dofs];
-        self.local_columns(
-            |j, column| column[j],
-            |cell, i, own, l| {
-                let cell = cell as usize;
-                let lo = space.row_ptr[cell * dpc + i] as usize;
-                let hi = space.row_ptr[cell * dpc + i + 1] as usize;
-                for &(d, w) in &space.entries[lo..hi] {
-                    diag[d as usize] += w * w * own[l];
+        self.local_blocks(
+            |bi, s| {
+                cell(bi, s);
+                s.dofs.clone()
+            },
+            |bi, s| {
+                face(bi, s);
+                s.dofs.clone()
+            },
+            |lanes, n_filled, own| {
+                for (i, v) in own.iter().enumerate() {
+                    for l in 0..n_filled {
+                        let cell = lanes[l] as usize;
+                        let lo = space.row_ptr[cell * dpc + i] as usize;
+                        let hi = space.row_ptr[cell * dpc + i + 1] as usize;
+                        for &(d, w) in &space.entries[lo..hi] {
+                            diag[d as usize] += w * w * v[l];
+                        }
+                    }
                 }
             },
         );
@@ -660,25 +679,45 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
     /// weights on both sides.
     pub fn assemble(&self) -> dgflow_solvers::CsrMatrix<T> {
         let space = &*self.space;
+        let mf = &*space.mf;
         let n = space.n_dofs;
-        let dpc = space.mf.dofs_per_cell;
+        let dpc = mf.dofs_per_cell;
         let mut triplets: Vec<(usize, usize, T)> = Vec::new();
-        self.local_columns(
-            |_, column| column.to_vec(),
-            |cell, j_local, column, l| {
-                let cell = cell as usize;
-                let lo_j = space.row_ptr[cell * dpc + j_local] as usize;
-                let hi_j = space.row_ptr[cell * dpc + j_local + 1] as usize;
-                for i_local in 0..dpc {
-                    let v = column[i_local][l];
-                    if v.to_f64() == 0.0 {
-                        continue;
-                    }
-                    let lo_i = space.row_ptr[cell * dpc + i_local] as usize;
-                    let hi_i = space.row_ptr[cell * dpc + i_local + 1] as usize;
-                    for &(di, wi) in &space.entries[lo_i..hi_i] {
-                        for &(dj, wj) in &space.entries[lo_j..hi_j] {
-                            triplets.push((di as usize, dj as usize, wi * v * wj));
+        self.local_blocks(
+            |bi, s| {
+                (0..dpc)
+                    .map(|j| {
+                        cell_column(mf, bi, j, s);
+                        s.dofs.clone()
+                    })
+                    .collect::<Vec<_>>()
+            },
+            |bi, s| {
+                (0..dpc)
+                    .map(|j| {
+                        face_column(mf, bi, FaceSide::Boundary, j, s);
+                        s.dofs.clone()
+                    })
+                    .collect()
+            },
+            |lanes, n_filled, columns| {
+                for (j_local, column) in columns.iter().enumerate() {
+                    for l in 0..n_filled {
+                        let cell = lanes[l] as usize;
+                        let lo_j = space.row_ptr[cell * dpc + j_local] as usize;
+                        let hi_j = space.row_ptr[cell * dpc + j_local + 1] as usize;
+                        for i_local in 0..dpc {
+                            let v = column[i_local][l];
+                            if v.to_f64() == 0.0 {
+                                continue;
+                            }
+                            let lo_i = space.row_ptr[cell * dpc + i_local] as usize;
+                            let hi_i = space.row_ptr[cell * dpc + i_local + 1] as usize;
+                            for &(di, wi) in &space.entries[lo_i..hi_i] {
+                                for &(dj, wj) in &space.entries[lo_j..hi_j] {
+                                    triplets.push((di as usize, dj as usize, wi * v * wj));
+                                }
+                            }
                         }
                     }
                 }
@@ -744,41 +783,36 @@ mod tests {
     use super::*;
     use dgflow_mesh::{CoarseMesh, TrilinearManifold};
 
-    /// The diagonal as the serial loop computed it before the local
-    /// columns moved to the pool: each column's own entries are summed as
-    /// soon as the column is computed.
+    /// The diagonal kernels run batch by batch on one thread, each block's
+    /// entries summed into the shared dofs as soon as it is computed.
     fn serial_diagonal<T: Real, const L: usize>(op: &CgLaplaceOperator<T, L>) -> Vec<T> {
         let space = &*op.space;
         let mf = &*space.mf;
         let dpc = mf.dofs_per_cell;
+        let tables = DiagonalTables::new(mf);
         let mut diag = vec![T::ZERO; space.n_dofs];
-        let mut add = |cell: u32, i: usize, column: &[Simd<T, L>], l: usize| {
-            let cell = cell as usize;
-            let lo = space.row_ptr[cell * dpc + i] as usize;
-            let hi = space.row_ptr[cell * dpc + i + 1] as usize;
-            for &(d, w) in &space.entries[lo..hi] {
-                diag[d as usize] += w * w * column[i][l];
+        let mut add = |lanes: &[u32; L], n_filled: usize, own: &[Simd<T, L>]| {
+            for (i, v) in own.iter().enumerate() {
+                for l in 0..n_filled {
+                    let cell = lanes[l] as usize;
+                    let lo = space.row_ptr[cell * dpc + i] as usize;
+                    let hi = space.row_ptr[cell * dpc + i + 1] as usize;
+                    for &(d, w) in &space.entries[lo..hi] {
+                        diag[d as usize] += w * w * v[l];
+                    }
+                }
             }
         };
         let mut s = CellScratch::<T, L>::new(mf);
         for (bi, b) in mf.cell_batches.iter().enumerate() {
-            for j in 0..dpc {
-                cell_column(mf, bi, j, &mut s);
-                for l in 0..b.n_filled {
-                    add(b.cells[l], j, &s.dofs, l);
-                }
-            }
+            cell_diagonal(mf, &tables, &op.coeff[bi], &mut s);
+            add(&b.cells, b.n_filled, &s.dofs);
         }
         let mut sf = FaceScratch::<T, L>::new(mf);
         for (bi, b) in mf.face_batches.iter().enumerate() {
-            if op.nitsche_plan(bi).is_none() {
-                continue;
-            }
-            for j in 0..dpc {
-                boundary_column(mf, bi, j, &mut sf);
-                for l in 0..b.n_filled {
-                    add(b.minus[l], j, &sf.dofs, l);
-                }
+            if op.nitsche_plan(bi).is_some() {
+                face_diagonal(mf, &tables, bi, FaceSide::Boundary, &mut sf);
+                add(&b.minus, b.n_filled, &sf.dofs);
             }
         }
         for (i, &c) in space.constrained.iter().enumerate() {

@@ -29,8 +29,8 @@ pub struct CellScratch<T: Real, const L: usize> {
     /// Reference-coordinate gradients at quadrature points (3 × `nq^3`).
     pub grad: [Vec<Simd<T, L>>; 3],
     /// Intermediate sweeps.
-    tmp: Vec<Simd<T, L>>,
-    tmp2: Vec<Simd<T, L>>,
+    pub(crate) tmp: Vec<Simd<T, L>>,
+    pub(crate) tmp2: Vec<Simd<T, L>>,
 }
 
 impl<T: Real, const L: usize> CellScratch<T, L> {
@@ -270,6 +270,11 @@ pub fn integrate_ref<T: Real, const L: usize>(
     );
 }
 
+/// The reference-direction pairs `(a, b)`, `a ≤ b`, of the six entries of
+/// the merged cell coefficient, in storage order.
+pub(crate) const COEFF_PAIRS: [(usize, usize); 6] =
+    [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)];
+
 /// Precompute the merged SIPG cell coefficient for every batch: per
 /// quadrature point the 6 entries `[c00, c01, c02, c11, c12, c22]` of the
 /// symmetric matrix `c_ab = JxW · Σ_r (J^{-T})_{ra} (J^{-T})_{rb}`, so the
@@ -284,10 +289,7 @@ pub fn laplace_cell_coeff<T: Real, const L: usize>(mf: &MatrixFree<T, L>) -> Vec
             for q in 0..nq3 {
                 let m = &g.jinvt[q * 9..q * 9 + 9];
                 let jxw = g.jxw[q];
-                for (k, (a, b)) in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-                    .into_iter()
-                    .enumerate()
-                {
+                for (k, (a, b)) in COEFF_PAIRS.into_iter().enumerate() {
                     c[6 * q + k] = (m[a] * m[b] + m[3 + a] * m[3 + b] + m[6 + a] * m[6 + b]) * jxw;
                 }
             }
@@ -403,9 +405,10 @@ pub struct FaceScratch<T: Real, const L: usize> {
     /// Reference-gradient components at face quadrature points (3 × `nq^2`),
     /// in the *owning cell's* reference axes, minus-frame order.
     pub grad: [Vec<Simd<T, L>>; 3],
-    nodal2d: Vec<Simd<T, L>>,
-    nodal2d_n: Vec<Simd<T, L>>,
-    tmp: Vec<Simd<T, L>>,
+    /// Trace values and normal derivatives on the nodal face grid (`n^2`).
+    pub(crate) nodal2d: Vec<Simd<T, L>>,
+    pub(crate) nodal2d_n: Vec<Simd<T, L>>,
+    pub(crate) tmp: Vec<Simd<T, L>>,
     tmp2: Vec<Simd<T, L>>,
 }
 
@@ -677,7 +680,7 @@ fn permute_to_minus<T: Real, const L: usize>(
 }
 
 /// Inverse of [`permute_to_minus`].
-fn permute_from_minus<T: Real, const L: usize>(
+pub(crate) fn permute_from_minus<T: Real, const L: usize>(
     o: FaceOrientation,
     nq: usize,
     data: &mut [Simd<T, L>],

@@ -10,8 +10,9 @@ use crate::evaluator::{
 use crate::loops::LoopSpan;
 use crate::matrixfree::MatrixFree;
 use crate::operators::sipg::{
-    boundary_column, cell_column, contract_two_stage, interior_face_flux, interior_side_column,
-    nitsche_boundary_term, nitsche_lifting,
+    cell_diagonal, cell_diagonal_reference, contract_two_stage, face_diagonal,
+    face_diagonal_reference, interior_face_flux, nitsche_boundary_term, nitsche_lifting,
+    DiagonalTables, FaceSide,
 };
 use crate::util::SharedMut;
 use dgflow_simd::{Real, Simd};
@@ -201,52 +202,66 @@ impl<T: Real, const L: usize> LaplaceOperator<T, L> {
     }
 
     /// Exact operator diagonal (for Jacobi/Chebyshev smoothing): local cell
-    /// blocks plus the own-side face blocks, computed by applying the local
-    /// kernels to unit vectors.
+    /// blocks plus the own-side face blocks, each by sum factorization of
+    /// the 1-D product tables (see [`cell_diagonal`], [`face_diagonal`]).
     pub fn compute_diagonal(&self) -> Vec<T> {
+        let mf = &*self.mf;
+        let tables = DiagonalTables::new(mf);
+        self.diagonal_with(
+            |bi, s| cell_diagonal(mf, &tables, &self.coeff[bi], s),
+            |bi, side, s| face_diagonal(mf, &tables, bi, side, s),
+        )
+    }
+
+    /// The diagonal through the reference kernels: every column of every
+    /// local block in full, keeping its own entry. Exists so the
+    /// kernel-equivalence suite can pin [`LaplaceOperator::compute_diagonal`]
+    /// against it.
+    pub fn diagonal_reference(&self) -> Vec<T> {
+        let mf = &*self.mf;
+        self.diagonal_with(
+            |bi, s| cell_diagonal_reference(mf, bi, s),
+            |bi, side, s| face_diagonal_reference(mf, bi, side, s),
+        )
+    }
+
+    /// Sum the block diagonals that `cell(bi, s)` and `face(bi, side, s)`
+    /// leave in `s.dofs` into the diagonal: every cell batch, and the
+    /// own-side blocks of every face batch (the coupling blocks do not
+    /// touch the diagonal; Neumann faces have none).
+    fn diagonal_with(
+        &self,
+        cell: impl Fn(usize, &mut CellScratch<T, L>) + Sync,
+        face: impl Fn(usize, FaceSide, &mut FaceScratch<T, L>) + Sync,
+    ) -> Vec<T> {
         let mf = &*self.mf;
         let dpc = mf.dofs_per_cell;
         let mut diag = vec![T::ZERO; mf.n_dofs()];
-        // adds column i's own entry of every filled lane's cell
-        let add = |cells: &[u32; L], n: usize, i: usize, v: &Simd<T, L>, out: &SharedMut<T>| {
-            for l in 0..n {
-                if cells[l] != u32::MAX {
-                    // SAFETY: the loop runs concurrently only batches whose
-                    // cells are disjoint (see `crate::loops`)
-                    unsafe { *out.at(dpc * cells[l] as usize + i) += v[l] };
-                }
-            }
-        };
         mf.loop_over(
             None,
             &mut diag,
             (
                 || CellScratch::new(mf),
                 |bi, s, out| {
-                    let b = &mf.cell_batches[bi];
-                    for i in 0..dpc {
-                        cell_column(mf, bi, i, s);
-                        add(&b.cells, b.n_filled, i, &s.dofs[i], out);
-                    }
+                    cell(bi, s);
+                    scatter_add_cell(&mf.cell_batches[bi], &s.dofs, dpc, 0, dpc, out);
                 },
             ),
-            // own-side face blocks only: the coupling blocks do not touch
-            // the diagonal
             (
                 || FaceScratch::new(mf),
                 |bi, s, out| {
                     let b = &mf.face_batches[bi];
                     let cat = b.category;
-                    for i in 0..dpc {
-                        if !cat.is_boundary {
-                            for (plus, cells) in [(false, &b.minus), (true, &b.plus)] {
-                                interior_side_column(mf, bi, plus, i, s);
-                                add(cells, b.n_filled, i, &s.dofs[i], out);
-                            }
-                        } else if self.bc_of(cat.boundary_id) == BoundaryCondition::Dirichlet {
-                            boundary_column(mf, bi, i, s);
-                            add(&b.minus, b.n_filled, i, &s.dofs[i], out);
-                        }
+                    let sides = if !cat.is_boundary {
+                        &[(FaceSide::Minus, &b.minus), (FaceSide::Plus, &b.plus)][..]
+                    } else if self.bc_of(cat.boundary_id) == BoundaryCondition::Dirichlet {
+                        &[(FaceSide::Boundary, &b.minus)][..]
+                    } else {
+                        &[]
+                    };
+                    for &(side, cells) in sides {
+                        face(bi, side, s);
+                        scatter_add_face_cells(cells, b.n_filled, &s.dofs, dpc, 0, dpc, out);
                     }
                 },
             ),

@@ -9,30 +9,103 @@
 //! Coverage matrix: k = 1..6 × {DG, CG} × {DP `f64×8`, SP `f32×16`} on a
 //! structured box, a hanging-node box (CG constraint plans), and the
 //! paper's bifurcation geometry.
+//!
+//! The sum-factorized operator diagonals (`compute_diagonal()`) are pinned
+//! the same way against `diagonal_reference()`, which applies every local
+//! block to each unit vector: on the box forests with one corner moved,
+//! two cells joined through a rotated face (a non-identity plus-side
+//! orientation) and the bifurcation, with all-Dirichlet and mixed
+//! Neumann/Dirichlet boundary ids, and on the flow solver's pressure space
+//! DG(k−1) at `n_q = k + 1`.
 
 use dgflow_fem::cg_space::{CgLaplaceOperator, CgSpace};
-use dgflow_fem::{LaplaceOperator, MatrixFree, MfParams};
+use dgflow_fem::{BoundaryCondition, LaplaceOperator, MatrixFree, MfParams};
 use dgflow_lung::{bifurcation_tree, mesh_airway_tree, MeshParams};
 use dgflow_mesh::{CoarseMesh, Forest, TrilinearManifold};
 use dgflow_simd::Real;
 use dgflow_solvers::LinearOperator;
 use std::sync::Arc;
 
-fn box_forest() -> Forest {
-    let mut f = Forest::new(CoarseMesh::hyper_cube());
+/// The unit cube with its far corner moved, so the trilinear map is not
+/// affine (the metric terms vary within a cell and `J⁻¹n` has tangential
+/// parts), and with boundary id 1 on its odd-numbered faces, so the mixed
+/// boundary conditions below split its boundary.
+fn skewed_cube() -> CoarseMesh {
+    let mut c = CoarseMesh::hyper_cube();
+    c.vertices[7] = [1.2, 1.1, 1.3];
+    for f in 0..6 {
+        c.boundary_ids.insert((0, f), (f % 2) as u32);
+    }
+    c
+}
+
+fn refined_box(coarse: CoarseMesh) -> Forest {
+    let mut f = Forest::new(coarse);
     f.refine_global(2);
     f
 }
 
+fn box_forest() -> Forest {
+    refined_box(CoarseMesh::hyper_cube())
+}
+
 /// Box with two refined corners: hanging faces feed the CG constraint
 /// tables, so the `GatherPlan::special` scalar tail gets real work.
-fn hanging_forest() -> Forest {
-    let mut f = Forest::new(CoarseMesh::hyper_cube());
+fn hanging_box(coarse: CoarseMesh) -> Forest {
+    let mut f = Forest::new(coarse);
     f.refine_global(1);
     let mut marks = vec![false; 8];
     marks[0] = true;
     marks[7] = true;
     f.refine_active(&marks);
+    f
+}
+
+fn hanging_forest() -> Forest {
+    hanging_box(CoarseMesh::hyper_cube())
+}
+
+/// Two cubes sharing a face with a rotated local frame (non-identity
+/// orientation), with one vertex of the shared face moved so the metric
+/// terms vary along the face and the plus side's frame matters.
+fn rotated_forest() -> Forest {
+    let mut vertices = Vec::new();
+    for k in 0..2 {
+        for j in 0..2 {
+            for i in 0..3 {
+                vertices.push([f64::from(i), f64::from(j), f64::from(k)]);
+            }
+        }
+    }
+    let vid = |i: usize, j: usize, k: usize| i + 3 * (j + 2 * k);
+    let c0 = [
+        vid(0, 0, 0),
+        vid(1, 0, 0),
+        vid(0, 1, 0),
+        vid(1, 1, 0),
+        vid(0, 0, 1),
+        vid(1, 0, 1),
+        vid(0, 1, 1),
+        vid(1, 1, 1),
+    ];
+    let c1 = [
+        vid(1, 1, 0),
+        vid(2, 1, 0),
+        vid(1, 1, 1),
+        vid(2, 1, 1),
+        vid(1, 0, 0),
+        vid(2, 0, 0),
+        vid(1, 0, 1),
+        vid(2, 0, 1),
+    ];
+    vertices[vid(1, 1, 1)] = [1.2, 1.1, 1.3];
+    let coarse = CoarseMesh {
+        vertices,
+        cells: vec![c0, c1],
+        boundary_ids: Default::default(),
+    };
+    let mut f = Forest::new(coarse);
+    f.refine_global(1);
     f
 }
 
@@ -201,5 +274,90 @@ fn cg_bifurcation_sp_matches_reference() {
     let f = bifurcation_forest();
     for k in 1..=6 {
         check_cg::<f32, 16>(&f, k, ULPS, "bifurcation");
+    }
+}
+
+/// All-Dirichlet, and Neumann on id 0 with Dirichlet on the other ids (the
+/// walls against the inlet and outlets on the bifurcation, the even faces
+/// against the odd ones on the boxes).
+fn boundary_conditions() -> [Vec<BoundaryCondition>; 2] {
+    use BoundaryCondition::{Dirichlet, Neumann};
+    [vec![], vec![Neumann, Dirichlet, Dirichlet, Dirichlet]]
+}
+
+/// The DG diagonal of degree `k` with `n_q = k + 1` and of the pressure
+/// space DG(k−1) at `n_q = k + 1`, where the basis is not collocated.
+fn check_dg_diagonal<T: Real, const L: usize>(forest: &Forest, k: usize, ctx: &str) {
+    let manifold = TrilinearManifold::from_forest(forest);
+    let pressure = MfParams {
+        degree: k - 1,
+        n_q: k + 1,
+        ..MfParams::dg(k)
+    };
+    for params in [MfParams::dg(k), pressure] {
+        let mf = Arc::new(MatrixFree::<T, L>::new(forest, &manifold, params));
+        for bc in boundary_conditions() {
+            let ctx = format!(
+                "{ctx} dg diagonal k={} n_q={} {bc:?}",
+                params.degree, params.n_q
+            );
+            let op = LaplaceOperator::with_bc(mf.clone(), bc);
+            assert_close(&op.compute_diagonal(), &op.diagonal_reference(), ULPS, &ctx);
+        }
+    }
+}
+
+fn check_cg_diagonal<T: Real, const L: usize>(forest: &Forest, k: usize, ctx: &str) {
+    let manifold = TrilinearManifold::from_forest(forest);
+    let space = Arc::new(CgSpace::<T, L>::new(forest, &manifold, k));
+    for bc in boundary_conditions() {
+        let ctx = format!("{ctx} cg diagonal k={k} {bc:?}");
+        let op = CgLaplaceOperator::with_bc(space.clone(), bc);
+        assert_close(&op.compute_diagonal(), &op.diagonal_reference(), ULPS, &ctx);
+    }
+}
+
+fn diagonal_forests() -> [(Forest, &'static str); 4] {
+    [
+        (refined_box(skewed_cube()), "skewed box"),
+        (hanging_box(skewed_cube()), "skewed hanging"),
+        (rotated_forest(), "rotated"),
+        (bifurcation_forest(), "bifurcation"),
+    ]
+}
+
+#[test]
+fn dg_diagonal_dp_matches_reference() {
+    for (f, ctx) in diagonal_forests() {
+        for k in 1..=6 {
+            check_dg_diagonal::<f64, 8>(&f, k, ctx);
+        }
+    }
+}
+
+#[test]
+fn dg_diagonal_sp_matches_reference() {
+    for (f, ctx) in diagonal_forests() {
+        for k in 1..=6 {
+            check_dg_diagonal::<f32, 16>(&f, k, ctx);
+        }
+    }
+}
+
+#[test]
+fn cg_diagonal_dp_matches_reference() {
+    for (f, ctx) in diagonal_forests() {
+        for k in 1..=6 {
+            check_cg_diagonal::<f64, 8>(&f, k, ctx);
+        }
+    }
+}
+
+#[test]
+fn cg_diagonal_sp_matches_reference() {
+    for (f, ctx) in diagonal_forests() {
+        for k in 1..=6 {
+            check_cg_diagonal::<f32, 16>(&f, k, ctx);
+        }
     }
 }
