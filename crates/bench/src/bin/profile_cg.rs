@@ -55,12 +55,11 @@ fn main() {
             unsafe { space.scatter_add_batch(plan, &s.dofs, &out) };
         }
     });
-    let coeff = dgflow_fem::evaluator::laplace_cell_coeff(mf);
     let t_cells = timed("profile.cells", reps, || {
         let out = SharedMut::new(&mut dst);
         for (bi, plan) in space.cell_plans.iter().enumerate() {
             space.gather_batch(plan, &src, &mut s.dofs);
-            dgflow_fem::evaluator::apply_cell_laplace(mf, &coeff[bi], &mut s);
+            dgflow_fem::evaluator::apply_cell_laplace(mf, bi, &mut s);
             // SAFETY: sequential profiling loop — no concurrent writers.
             unsafe { space.scatter_add_batch(plan, &s.dofs, &out) };
         }

@@ -9,8 +9,8 @@
 
 use crate::batch::greedy_colors;
 use crate::evaluator::{
-    apply_cell_laplace, evaluate_gradients, evaluate_values, integrate_ref, laplace_cell_coeff,
-    CellScratch, FaceScratch,
+    apply_cell_laplace, evaluate_gradients, evaluate_values, integrate_ref, CellScratch,
+    FaceScratch,
 };
 use crate::matrixfree::{tangential, MatrixFree, MfParams};
 use crate::operators::laplace::BoundaryCondition;
@@ -64,9 +64,6 @@ pub struct CgSpace<T: Real, const L: usize> {
     /// Plans for the minus side of boundary face batches (`None` for
     /// interior faces, which CG operators never touch).
     pub face_plans: Vec<Option<GatherPlan<L>>>,
-    /// Per cell: true when no local node carries a constraint row, so
-    /// scalar scatters may index `l2g` directly.
-    pub cell_simple: Vec<bool>,
 }
 
 impl<T: Real, const L: usize> CgSpace<T, L> {
@@ -250,10 +247,6 @@ impl<T: Real, const L: usize> CgSpace<T, L> {
             }),
         );
 
-        let cell_simple: Vec<bool> = (0..n_cells)
-            .map(|c| (0..dpc).all(|i| !constrained[l2g[c * dpc + i] as usize]))
-            .collect();
-
         let mut space = Self {
             mf,
             n_dofs,
@@ -265,7 +258,6 @@ impl<T: Real, const L: usize> CgSpace<T, L> {
             cell_colors,
             cell_plans: Vec::new(),
             face_plans: Vec::new(),
-            cell_simple,
         };
         // ---- vectorized gather/scatter plans ------------------------------
         let cell_plans = space
@@ -336,15 +328,6 @@ impl<T: Real, const L: usize> CgSpace<T, L> {
     /// `cell_colors`).
     pub unsafe fn scatter_add(&self, cell: usize, vals: &[T], dst: &SharedMut<T>) {
         let dpc = self.mf.dofs_per_cell;
-        if self.cell_simple[cell] {
-            let base = cell * dpc;
-            for (i, &v) in vals.iter().enumerate().take(dpc) {
-                // SAFETY: `l2g` holds valid global dofs; exclusivity is the
-                // caller's contract above.
-                unsafe { *dst.at(self.l2g[base + i] as usize) += v };
-            }
-            return;
-        }
         for (i, &v) in vals.iter().enumerate().take(dpc) {
             let lo = self.row_ptr[cell * dpc + i] as usize;
             let hi = self.row_ptr[cell * dpc + i + 1] as usize;
@@ -419,8 +402,6 @@ pub struct CgLaplaceOperator<T: Real, const L: usize> {
     pub space: Arc<CgSpace<T, L>>,
     /// Per-boundary-id condition.
     pub bc: Vec<BoundaryCondition>,
-    /// Per-batch merged symmetric cell coefficient for the fused kernel.
-    coeff: Vec<Vec<Simd<T, L>>>,
     /// Modeled Flop per application, for the roofline tag on the
     /// `cg_laplace.apply` span.
     flops_per_apply: f64,
@@ -434,7 +415,6 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
 
     /// Explicit boundary conditions.
     pub fn with_bc(space: Arc<CgSpace<T, L>>, bc: Vec<BoundaryCondition>) -> Self {
-        let coeff = laplace_cell_coeff(&space.mf);
         // The DG work model over-counts the (cheaper) CG apply — shared
         // dofs and no interior face terms — but keeps the span tags on one
         // consistent scale across the multigrid hierarchy.
@@ -446,7 +426,6 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
         Self {
             space,
             bc,
-            coeff,
             flops_per_apply,
         }
     }
@@ -614,7 +593,7 @@ impl<T: Real, const L: usize> CgLaplaceOperator<T, L> {
         let mf = &*self.space.mf;
         let tables = DiagonalTables::new(mf);
         self.diagonal_with(
-            |bi, s| cell_diagonal(mf, &tables, &self.coeff[bi], s),
+            |bi, s| cell_diagonal(mf, &tables, bi, s),
             |bi, s| face_diagonal(mf, &tables, bi, FaceSide::Boundary, s),
         )
     }
@@ -750,7 +729,7 @@ impl<T: Real, const L: usize> LinearOperator<T> for CgLaplaceOperator<T, L> {
                 |bi, s, out| {
                     let plan = &space.cell_plans[bi];
                     space.gather_batch(plan, src, &mut s.dofs);
-                    apply_cell_laplace(mf, &self.coeff[bi], s);
+                    apply_cell_laplace(mf, bi, s);
                     // SAFETY: the loop runs one cell color at a time, and
                     // the batches of a color are dof-disjoint.
                     unsafe { space.scatter_add_batch(plan, &s.dofs, out) };
@@ -805,7 +784,7 @@ mod tests {
         };
         let mut s = CellScratch::<T, L>::new(mf);
         for (bi, b) in mf.cell_batches.iter().enumerate() {
-            cell_diagonal(mf, &tables, &op.coeff[bi], &mut s);
+            cell_diagonal(mf, &tables, bi, &mut s);
             add(&b.cells, b.n_filled, &s.dofs);
         }
         let mut sf = FaceScratch::<T, L>::new(mf);

@@ -128,6 +128,41 @@ pub fn evaluate_values<T: Real, const L: usize>(mf: &MatrixFree<T, L>, s: &mut C
     );
 }
 
+/// Transpose of [`evaluate_values`]: test the quadrature-point values
+/// (`scratch.quad` → `scratch.dofs`). Identity for collocated bases.
+fn integrate_values<T: Real, const L: usize>(mf: &MatrixFree<T, L>, s: &mut CellScratch<T, L>) {
+    let n = mf.n_1d();
+    let nq = mf.n_q();
+    if mf.collocated() {
+        s.dofs.copy_from_slice(&s.quad);
+        return;
+    }
+    apply_1d(
+        &mf.shape.values_t,
+        &s.quad,
+        &mut s.tmp[..n * nq * nq],
+        [nq, nq, nq],
+        0,
+        false,
+    );
+    apply_1d(
+        &mf.shape.values_t,
+        &s.tmp[..n * nq * nq],
+        &mut s.tmp2[..n * n * nq],
+        [n, nq, nq],
+        1,
+        false,
+    );
+    apply_1d(
+        &mf.shape.values_t,
+        &s.tmp2[..n * n * nq],
+        &mut s.dofs,
+        [n, n, nq],
+        2,
+        false,
+    );
+}
+
 /// Differentiate quadrature-point values (`scratch.quad` → `scratch.grad`),
 /// in reference coordinates, via the collocation derivative.
 pub fn evaluate_gradients<T: Real, const L: usize>(
@@ -161,7 +196,6 @@ pub fn integrate<T: Real, const L: usize>(
     with_values: bool,
     with_gradients: bool,
 ) {
-    let n = mf.n_1d();
     let nq = mf.n_q();
     // accumulate everything on the quadrature grid first; the transpose
     // sweeps add directly into `quad` (no tmp round-trip — `dst[o] += acc`
@@ -180,34 +214,7 @@ pub fn integrate<T: Real, const L: usize>(
             );
         }
     }
-    if mf.collocated() {
-        s.dofs.copy_from_slice(&s.quad);
-        return;
-    }
-    apply_1d(
-        &mf.shape.values_t,
-        &s.quad,
-        &mut s.tmp[..n * nq * nq],
-        [nq, nq, nq],
-        0,
-        false,
-    );
-    apply_1d(
-        &mf.shape.values_t,
-        &s.tmp[..n * nq * nq],
-        &mut s.tmp2[..n * n * nq],
-        [n, nq, nq],
-        1,
-        false,
-    );
-    apply_1d(
-        &mf.shape.values_t,
-        &s.tmp2[..n * n * nq],
-        &mut s.dofs,
-        [n, n, nq],
-        2,
-        false,
-    );
+    integrate_values(mf, s);
 }
 
 /// Reference implementation of [`integrate`]: sweep each gradient component
@@ -219,7 +226,6 @@ pub fn integrate_ref<T: Real, const L: usize>(
     with_values: bool,
     with_gradients: bool,
 ) {
-    let n = mf.n_1d();
     let nq = mf.n_q();
     if with_gradients {
         for d in 0..3 {
@@ -240,75 +246,22 @@ pub fn integrate_ref<T: Real, const L: usize>(
             }
         }
     }
-    if mf.collocated() {
-        s.dofs.copy_from_slice(&s.quad);
-        return;
-    }
-    apply_1d(
-        &mf.shape.values_t,
-        &s.quad,
-        &mut s.tmp[..n * nq * nq],
-        [nq, nq, nq],
-        0,
-        false,
-    );
-    apply_1d(
-        &mf.shape.values_t,
-        &s.tmp[..n * nq * nq],
-        &mut s.tmp2[..n * n * nq],
-        [n, nq, nq],
-        1,
-        false,
-    );
-    apply_1d(
-        &mf.shape.values_t,
-        &s.tmp2[..n * n * nq],
-        &mut s.dofs,
-        [n, n, nq],
-        2,
-        false,
-    );
+    integrate_values(mf, s);
 }
 
-/// The reference-direction pairs `(a, b)`, `a ≤ b`, of the six entries of
-/// the merged cell coefficient, in storage order.
-pub(crate) const COEFF_PAIRS: [(usize, usize); 6] =
-    [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)];
-
-/// Precompute the merged SIPG cell coefficient for every batch: per
-/// quadrature point the 6 entries `[c00, c01, c02, c11, c12, c22]` of the
-/// symmetric matrix `c_ab = JxW · Σ_r (J^{-T})_{ra} (J^{-T})_{rb}`, so the
-/// fused cell kernel streams 6 batches per point instead of the 9-entry
-/// Jacobian plus JxW (the bandwidth trim that narrows the SP/DP gap).
-pub fn laplace_cell_coeff<T: Real, const L: usize>(mf: &MatrixFree<T, L>) -> Vec<Vec<Simd<T, L>>> {
-    let nq3 = mf.n_q().pow(3);
-    mf.cell_geometry
-        .iter()
-        .map(|g| {
-            let mut c = vec![Simd::<T, L>::zero(); 6 * nq3];
-            for q in 0..nq3 {
-                let m = &g.jinvt[q * 9..q * 9 + 9];
-                let jxw = g.jxw[q];
-                for (k, (a, b)) in COEFF_PAIRS.into_iter().enumerate() {
-                    c[6 * q + k] = (m[a] * m[b] + m[3 + a] * m[3 + b] + m[6 + a] * m[6 + b]) * jxw;
-                }
-            }
-            c
-        })
-        .collect()
-}
-
-/// Fused SIPG Laplace cell kernel: differentiate the gathered nodal data in
-/// `s.dofs`, contract with the precomputed symmetric coefficient (6 batches
-/// per point, see [`laplace_cell_coeff`]), and apply the transposed
-/// gradient sweeps back into `s.dofs` — for collocated bases six total
-/// sweeps with no value-interpolation copies or tmp round-trips.
+/// Fused SIPG Laplace cell kernel of batch `bi`: differentiate the gathered
+/// nodal data in `s.dofs`, contract with the geometry's merged symmetric
+/// coefficient (6 batches per point, [`crate::geometry::CellGeometry::laplace`]),
+/// and apply the transposed gradient sweeps back into `s.dofs` — for
+/// collocated bases six total sweeps with no value-interpolation copies or
+/// tmp round-trips.
 pub fn apply_cell_laplace<T: Real, const L: usize>(
     mf: &MatrixFree<T, L>,
-    coeff: &[Simd<T, L>],
+    bi: usize,
     s: &mut CellScratch<T, L>,
 ) {
     let nq = mf.n_q();
+    let coeff = &mf.cell_geometry[bi].laplace;
     let e = [nq, nq, nq];
     if mf.collocated() {
         for d in 0..3 {
@@ -368,31 +321,7 @@ pub fn apply_cell_laplace<T: Real, const L: usize>(
                 d != 0,
             );
         }
-        let n = mf.n_1d();
-        apply_1d(
-            &mf.shape.values_t,
-            &s.quad,
-            &mut s.tmp[..n * nq * nq],
-            [nq, nq, nq],
-            0,
-            false,
-        );
-        apply_1d(
-            &mf.shape.values_t,
-            &s.tmp[..n * nq * nq],
-            &mut s.tmp2[..n * n * nq],
-            [n, nq, nq],
-            1,
-            false,
-        );
-        apply_1d(
-            &mf.shape.values_t,
-            &s.tmp2[..n * n * nq],
-            &mut s.dofs,
-            [n, n, nq],
-            2,
-            false,
-        );
+        integrate_values(mf, s);
     }
 }
 

@@ -40,26 +40,16 @@ impl Mapping {
         let n_cells = forest.n_active();
         let mut points = vec![[0.0; 3]; n_cells * ppc];
         let cells: Vec<_> = forest.active_cells().collect();
-        let out = crate::util::SharedMut::new(&mut points);
-        dgflow_comm::parallel_for_chunks(n_cells, 8, |range| {
-            for c in range {
-                let cell = cells[c];
+        let local: Vec<[f64; 3]> = (0..ppc)
+            .map(|i| [nodes[i % n1], nodes[(i / n1) % n1], nodes[i / (n1 * n1)]])
+            .collect();
+        dgflow_comm::parallel_chunks_mut([&mut points], 8 * ppc, |offset, [part]| {
+            for (i, p) in part.iter_mut().enumerate() {
+                let idx = offset + i;
+                let (cell, x) = (cells[idx / ppc], local[idx % ppc]);
                 let (lo, h) = cell.ref_bounds();
-                for i2 in 0..n1 {
-                    for i1 in 0..n1 {
-                        for i0 in 0..n1 {
-                            let xi = [
-                                lo[0] + h * nodes[i0],
-                                lo[1] + h * nodes[i1],
-                                lo[2] + h * nodes[i2],
-                            ];
-                            let p = manifold.position(cell.tree as usize, xi);
-                            let idx = c * ppc + i0 + n1 * (i1 + n1 * i2);
-                            // SAFETY: chunks write disjoint cell blocks
-                            unsafe { out.write(idx, p) };
-                        }
-                    }
-                }
+                let xi = [lo[0] + h * x[0], lo[1] + h * x[1], lo[2] + h * x[2]];
+                *p = manifold.position(cell.tree as usize, xi);
             }
         });
         Self {
@@ -328,10 +318,49 @@ pub struct CellGeometry<T: Real, const L: usize> {
     pub jinvt: Vec<Simd<T, L>>,
     /// `det(J) * w_q` per quadrature point.
     pub jxw: Vec<Simd<T, L>>,
+    /// Merged symmetric SIPG cell coefficient: per quadrature point the 6
+    /// entries `[c00, c01, c02, c11, c12, c22]` of
+    /// `c_ab = JxW · Σ_r (J^{-T})_{ra} (J^{-T})_{rb}`, so the fused Laplace
+    /// cell kernel streams 6 batches per point instead of the 9-entry
+    /// Jacobian plus JxW. Layout `q*6 + k`.
+    pub laplace: Vec<Simd<T, L>>,
     /// Physical quadrature-point positions: `q*3 + d` (used only by
     /// right-hand-side assembly and error norms, never streamed by the
     /// operator kernels).
     pub positions: Vec<Simd<T, L>>,
+}
+
+/// The reference-direction pairs `(a, b)`, `a ≤ b`, of the six entries of
+/// [`CellGeometry::laplace`], in storage order.
+pub(crate) const COEFF_PAIRS: [(usize, usize); 6] =
+    [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)];
+
+impl<T: Real, const L: usize> CellGeometry<T, L> {
+    /// Metric data from its stored fields: the merged Laplace coefficient
+    /// is formed from the `T`-rounded `J^{-T}` and `JxW`, so it is the
+    /// same whichever space reads it.
+    pub(crate) fn new(
+        jinvt: Vec<Simd<T, L>>,
+        jxw: Vec<Simd<T, L>>,
+        positions: Vec<Simd<T, L>>,
+    ) -> Self {
+        let mut laplace = vec![Simd::<T, L>::zero(); jxw.len() * 6];
+        for (q, (m, c)) in jinvt
+            .chunks_exact(9)
+            .zip(laplace.chunks_exact_mut(6))
+            .enumerate()
+        {
+            for (k, (a, b)) in COEFF_PAIRS.into_iter().enumerate() {
+                c[k] = (m[a] * m[b] + m[3 + a] * m[3 + b] + m[6 + a] * m[6 + b]) * jxw[q];
+            }
+        }
+        Self {
+            jinvt,
+            jxw,
+            laplace,
+            positions,
+        }
+    }
 }
 
 /// Per-face-batch metric data at the `n_q^2` face quadrature points

@@ -100,14 +100,19 @@ impl<T: Real, const L: usize> MfGeometry<T, L> {
             cell_metric(&cell_grid, &cell_batches[bi], &quad.weights, geo)
         });
         let mut cell_volumes = vec![0.0; n_cells];
+        // The merged Laplace coefficient is formed here on the calling
+        // thread, so the coefficients of consecutive batches lie next to
+        // each other in memory: formed inside the pooled loop above, the
+        // Laplace kernels that stream them ran 3–4 % slower (traced
+        // `poisson_solve`, 2-vCPU host).
         let cell_geometry: Vec<CellGeometry<T, L>> = cell_metric
             .into_iter()
             .zip(&cell_batches)
-            .map(|((geometry, volumes), b)| {
+            .map(|(([jinvt, jxw, positions], volumes), b)| {
                 for l in 0..b.n_filled {
                     cell_volumes[b.cells[l] as usize] = volumes[l];
                 }
-                geometry
+                CellGeometry::new(jinvt, jxw, positions)
             })
             .collect();
         let (face_geometry, area_ratio) = par_map(
@@ -236,14 +241,15 @@ impl<T: Real, const L: usize> MatrixFree<T, L> {
     }
 }
 
-/// Metric terms of one cell batch at the tensor quadrature points of
-/// `grid`, and the volume of each filled lane's cell.
+/// `J^{-T}`, `JxW` and the positions of one cell batch at the tensor
+/// quadrature points of `grid` (the fields of [`CellGeometry`]), and the
+/// volume of each filled lane's cell.
 fn cell_metric<T: Real, const L: usize>(
     grid: &MappingGrid,
     b: &CellBatch<L>,
     quad_w: &[f64],
     geo: &mut GridValues<L>,
-) -> (CellGeometry<T, L>, [f64; L]) {
+) -> ([Vec<Simd<T, L>>; 3], [f64; L]) {
     grid.evaluate(&b.cells, b.n_filled, geo);
     let n_q = quad_w.len();
     let nq3 = grid.len();
@@ -271,12 +277,7 @@ fn cell_metric<T: Real, const L: usize>(
             }
         }
     }
-    let geometry = CellGeometry {
-        jinvt,
-        jxw,
-        positions,
-    };
-    (geometry, volumes)
+    ([jinvt, jxw, positions], volumes)
 }
 
 /// Metric terms of one face batch at the tensor Gauss points of the

@@ -4,8 +4,8 @@
 
 use crate::evaluator::{
     apply_cell_laplace, evaluate_face, evaluate_gradients, evaluate_values, gather_cell,
-    gather_face_cells, integrate_face, integrate_ref, laplace_cell_coeff, scatter_add_cell,
-    scatter_add_face_cells, CellScratch, FaceScratch, FaceSideDesc,
+    gather_face_cells, integrate_face, integrate_ref, scatter_add_cell, scatter_add_face_cells,
+    CellScratch, FaceScratch, FaceSideDesc,
 };
 use crate::loops::LoopSpan;
 use crate::matrixfree::MatrixFree;
@@ -15,7 +15,7 @@ use crate::operators::sipg::{
     DiagonalTables, FaceSide,
 };
 use crate::util::SharedMut;
-use dgflow_simd::{Real, Simd};
+use dgflow_simd::Real;
 use dgflow_solvers::LinearOperator;
 use std::sync::Arc;
 
@@ -36,9 +36,6 @@ pub struct LaplaceOperator<T: Real, const L: usize> {
     /// Boundary condition per boundary id (defaults to Dirichlet for ids
     /// beyond the list).
     pub bc: Vec<BoundaryCondition>,
-    /// Per-batch merged symmetric cell coefficient (6 batches per
-    /// quadrature point) for the fused cell kernel.
-    coeff: Vec<Vec<Simd<T, L>>>,
     /// Modeled Flop per full operator application, for the roofline tag on
     /// the `laplace.apply` span.
     flops_per_apply: f64,
@@ -52,14 +49,12 @@ impl<T: Real, const L: usize> LaplaceOperator<T, L> {
 
     /// Create with explicit per-id boundary conditions.
     pub fn with_bc(mf: Arc<MatrixFree<T, L>>, bc: Vec<BoundaryCondition>) -> Self {
-        let coeff = laplace_cell_coeff(&mf);
         let counts =
             dgflow_perfmodel::LaplaceCounts::new(mf.params.degree, std::mem::size_of::<T>() as f64);
         let flops_per_apply = counts.flops_per_dof * mf.n_dofs() as f64;
         Self {
             mf,
             bc,
-            coeff,
             flops_per_apply,
         }
     }
@@ -75,7 +70,7 @@ impl<T: Real, const L: usize> LaplaceOperator<T, L> {
     /// Fused cell kernel of batch `bi` on the nodal values gathered into
     /// `s.dofs`; leaves the batch's contribution there.
     pub(crate) fn cell_term(&self, bi: usize, s: &mut CellScratch<T, L>) {
-        apply_cell_laplace(&self.mf, &self.coeff[bi], s);
+        apply_cell_laplace(&self.mf, bi, s);
     }
 
     /// Reference cell kernel: the unfused evaluate/integrate pipeline with
@@ -208,7 +203,7 @@ impl<T: Real, const L: usize> LaplaceOperator<T, L> {
         let mf = &*self.mf;
         let tables = DiagonalTables::new(mf);
         self.diagonal_with(
-            |bi, s| cell_diagonal(mf, &tables, &self.coeff[bi], s),
+            |bi, s| cell_diagonal(mf, &tables, bi, s),
             |bi, side, s| face_diagonal(mf, &tables, bi, side, s),
         )
     }

@@ -4,9 +4,9 @@
 
 use crate::evaluator::{
     evaluate_face, evaluate_gradients, evaluate_values, integrate, integrate_face,
-    permute_from_minus, CellScratch, FaceScratch, FaceSideDesc, COEFF_PAIRS,
+    permute_from_minus, CellScratch, FaceScratch, FaceSideDesc,
 };
-use crate::geometry::{CellGeometry, FaceGeometry};
+use crate::geometry::{CellGeometry, FaceGeometry, COEFF_PAIRS};
 use crate::matrixfree::{tangential, MatrixFree};
 use dgflow_mesh::FaceOrientation;
 use dgflow_simd::{Real, Simd};
@@ -340,7 +340,7 @@ impl<T: Real> DiagonalTables<T> {
 }
 
 /// Cell block diagonal of batch `bi`, into `s.dofs`, from its merged cell
-/// coefficient `coeff` ([`crate::evaluator::laplace_cell_coeff`]):
+/// coefficient `C` ([`crate::geometry::CellGeometry::laplace`]):
 /// `diag_i = Σ_q Σ_ab C_ab ∂_aφ_i ∂_bφ_i`. For a tensor-product `φ_i` the
 /// product `∂_aφ_i ∂_bφ_i` factors into one 1-D table per direction, so
 /// each symmetric pair `(a, b)` takes three sweeps from the points to the
@@ -348,10 +348,11 @@ impl<T: Real> DiagonalTables<T> {
 pub(crate) fn cell_diagonal<T: Real, const L: usize>(
     mf: &MatrixFree<T, L>,
     tables: &DiagonalTables<T>,
-    coeff: &[Simd<T, L>],
+    bi: usize,
     s: &mut CellScratch<T, L>,
 ) {
     let (n, nq) = (mf.n_1d(), mf.n_q());
+    let coeff = &mf.cell_geometry[bi].laplace;
     let two = T::from_f64(2.0);
     for (k, (a, b)) in COEFF_PAIRS.into_iter().enumerate() {
         for (x, c) in s.quad.iter_mut().zip(coeff.chunks_exact(6)) {

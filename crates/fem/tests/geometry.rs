@@ -8,7 +8,7 @@ use dgflow_fem::matrixfree::tangential;
 use dgflow_fem::{MatrixFree, MfParams};
 use dgflow_lung::{bifurcation_tree, mesh_airway_tree, MeshParams};
 use dgflow_mesh::{CoarseMesh, Forest, Manifold, TrilinearManifold};
-use dgflow_simd::Simd;
+use dgflow_simd::{Real, Simd};
 use dgflow_tensor::{NodeSet, ShapeInfo1D};
 use std::collections::BTreeMap;
 use std::f64::consts::PI;
@@ -217,6 +217,34 @@ fn check_against_pointwise(mf: &MatrixFree<f64, L>) {
     fields.check();
 }
 
+/// Check the merged Laplace coefficient of every cell batch bit for bit
+/// against the six-entry formula on the stored (`T`-rounded) `J^{-T}` and
+/// `JxW`, lane by lane, empty lanes included.
+fn check_laplace_coefficient<T: Real>(mf: &MatrixFree<T, L>) {
+    const PAIRS: [(usize, usize); 6] = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)];
+    let nq3 = mf.n_q().pow(3);
+    for (bi, g) in mf.cell_geometry.iter().enumerate() {
+        assert_eq!(g.laplace.len(), 6 * nq3, "batch {bi}: length");
+        for q in 0..nq3 {
+            let jxw = g.jxw[q];
+            let m = |i: usize| g.jinvt[q * 9 + i];
+            for (k, (a, b)) in PAIRS.into_iter().enumerate() {
+                for l in 0..L {
+                    let want =
+                        (m(a)[l] * m(b)[l] + m(3 + a)[l] * m(3 + b)[l] + m(6 + a)[l] * m(6 + b)[l])
+                            * jxw[l];
+                    let got = g.laplace[6 * q + k][l];
+                    assert_eq!(
+                        got.to_f64().to_bits(),
+                        want.to_f64().to_bits(),
+                        "batch {bi}, point {q}, entry {k}, lane {l}: {got:?} vs {want:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Bit patterns of every geometry field and of the penalty, batch by
 /// batch.
 fn bits(mf: &MatrixFree<f64, L>) -> Vec<u64> {
@@ -227,6 +255,7 @@ fn bits(mf: &MatrixFree<f64, L>) -> Vec<u64> {
     for g in &mf.cell_geometry {
         add(&g.jinvt);
         add(&g.jxw);
+        add(&g.laplace);
         add(&g.positions);
     }
     for g in &mf.face_geometry {
@@ -280,6 +309,25 @@ fn hanging_metric_terms_match_pointwise_reference() {
         // the Gauss-Lobatto node set shares the mapping code path
         let cg: MatrixFree<f64, L> = MatrixFree::new(&forest, &manifold, MfParams::cg(degree));
         check_against_pointwise(&cg);
+    }
+}
+
+#[test]
+fn laplace_coefficient_is_the_formula_on_the_stored_metric() {
+    for (name, (forest, manifold)) in [("bifurcation", bifurcation()), ("hanging", hanging_cube())]
+    {
+        let params = MfParams {
+            mapping_degree: 3,
+            ..MfParams::dg(3)
+        };
+        let mf64: MatrixFree<f64, L> = MatrixFree::new(&forest, &manifold, params);
+        let mf32: MatrixFree<f32, L> = MatrixFree::new(&forest, &manifold, params);
+        assert!(
+            mf64.cell_batches.iter().any(|b| b.n_filled < L),
+            "{name}: want a partial batch"
+        );
+        check_laplace_coefficient(&mf64);
+        check_laplace_coefficient(&mf32);
     }
 }
 

@@ -9,6 +9,7 @@
 //! `running`) and restart from their checkpoints, and which never
 //! started.
 
+use crate::cache::Fnv;
 use crate::json::{self, Json};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -238,12 +239,9 @@ impl Manifest {
 
 /// FNV-1a fingerprint of a spec text (stable across platforms).
 pub fn text_fingerprint(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in text.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv::new();
+    h.write(text.as_bytes());
+    h.0
 }
 
 /// FNV-1a fingerprint of the *canonical* form of a spec text (sorted keys
