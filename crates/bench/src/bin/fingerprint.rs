@@ -3,10 +3,11 @@
 //! the outputs to show that a refactor leaves every result unchanged
 //! (`cargo run --release -p dgflow-bench --bin fingerprint > after.txt`).
 //! Covered: the f32 hybrid multigrid on the bifurcation (every level's
-//! DG/CG Laplace apply and diagonal, the transfers, one V-cycle; with and
-//! without an h-level), the Navier–Stokes operators, the scalar advection
-//! term and the flow rates on the bifurcation and a cube with hanging
-//! nodes (k = 2, 3), and three ventilated steps of a g = 1 lung solver.
+//! DG/CG Laplace apply and diagonal, its smoother's eigenvalue bound, the
+//! transfers, one V-cycle; with and without an h-level), the Navier–Stokes
+//! operators, the scalar advection term and the flow rates on the
+//! bifurcation and a cube with hanging nodes (k = 2, 3), and three
+//! ventilated steps of a g = 1 lung solver.
 //! Only long-standing public entry points are used, so the same file
 //! runs on older trees.
 
@@ -69,6 +70,7 @@ fn multigrid(refine: usize, degree: usize) {
         level.op.apply(&x, &mut y);
         line(&format!("{name}.apply"), &y);
         line(&format!("{name}.diagonal"), &level.op.diagonal());
+        println!("{name}.lambda_max {}", level.smoother.lambda_max);
         if let Some(t) = &level.transfer {
             let mut coarse = vec![0.0f32; t.n_coarse()];
             t.restrict(&x, &mut coarse);

@@ -129,49 +129,52 @@ pub fn color_face_batches<const L: usize>(
     batches: &[FaceBatch<L>],
     n_cells: usize,
 ) -> Vec<Vec<usize>> {
-    greedy_colors(
-        n_cells,
-        batches.iter().map(|b| {
-            let mut cells = Vec::with_capacity(2 * L);
-            for l in 0..b.n_filled {
-                cells.push(b.minus[l]);
-                if b.plus[l] != u32::MAX {
-                    cells.push(b.plus[l]);
-                }
-            }
-            cells
-        }),
-    )
+    greedy_colors(n_cells, batches.iter().map(face_batch_cells))
+}
+
+/// The cells a face batch touches, both sides, lane by lane.
+fn face_batch_cells<const L: usize>(b: &FaceBatch<L>) -> Vec<u32> {
+    let mut cells = Vec::with_capacity(2 * L);
+    for l in 0..b.n_filled {
+        cells.push(b.minus[l]);
+        if b.plus[l] != u32::MAX {
+            cells.push(b.plus[l]);
+        }
+    }
+    cells
 }
 
 /// Greedy conflict coloring: batch `i` (in iteration order) touches the
 /// keys (cells, dofs, ...) `keys_of_batch[i]`, all below `n_keys`, and
 /// gets the smallest color no earlier batch sharing a key has. Batches of
 /// one color are then key-disjoint and may scatter concurrently.
+///
+/// The colors touching a key are a bit set: `used[w][key]` holds colors
+/// `64 w .. 64 w + 63`, and a word row is added when a 65th, 129th, ...
+/// color appears. A batch ORs its keys' words and takes the lowest clear
+/// bit, so its cost is one pass over its keys per word searched.
 pub fn greedy_colors(
     n_keys: usize,
     keys_of_batch: impl IntoIterator<Item = Vec<u32>>,
 ) -> Vec<Vec<usize>> {
-    let mut color_of_key: Vec<Vec<u32>> = vec![Vec::new(); n_keys]; // colors already touching key
+    let mut used: Vec<Vec<u64>> = Vec::new();
     let mut colors: Vec<Vec<usize>> = Vec::new();
     for (bi, keys) in keys_of_batch.into_iter().enumerate() {
-        // find the smallest color not used by any touched key
-        let mut c = 0u32;
-        'search: loop {
-            for &k in &keys {
-                if color_of_key[k as usize].contains(&c) {
-                    c += 1;
-                    continue 'search;
-                }
-            }
-            break;
-        }
-        if c as usize == colors.len() {
+        let free = used.iter().enumerate().find_map(|(w, words)| {
+            let taken = keys.iter().fold(0, |m, &k| m | words[k as usize]);
+            (taken != u64::MAX).then(|| 64 * w + (!taken).trailing_zeros() as usize)
+        });
+        let c = free.unwrap_or_else(|| {
+            used.push(vec![0; n_keys]);
+            64 * (used.len() - 1)
+        });
+        if c == colors.len() {
             colors.push(Vec::new());
         }
-        colors[c as usize].push(bi);
+        colors[c].push(bi);
+        let words = &mut used[c / 64];
         for &k in &keys {
-            color_of_key[k as usize].push(c);
+            words[k as usize] |= 1 << (c % 64);
         }
     }
     colors
@@ -180,7 +183,80 @@ pub fn greedy_colors(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgflow_mesh::{CoarseMesh, Forest};
+    use crate::cg_space::{cell_batch_dofs, CgSpace};
+    use dgflow_lung::{bifurcation_tree, mesh_airway_tree, MeshParams};
+    use dgflow_mesh::{CoarseMesh, Forest, TrilinearManifold};
+
+    /// The coloring `greedy_colors` had before its bit sets: a list of
+    /// colors per key, scanned again for every rejected color.
+    fn greedy_colors_reference(n_keys: usize, keys_of_batch: &[Vec<u32>]) -> Vec<Vec<usize>> {
+        let mut color_of_key: Vec<Vec<u32>> = vec![Vec::new(); n_keys];
+        let mut colors: Vec<Vec<usize>> = Vec::new();
+        for (bi, keys) in keys_of_batch.iter().enumerate() {
+            let mut c = 0u32;
+            'search: loop {
+                for &k in keys {
+                    if color_of_key[k as usize].contains(&c) {
+                        c += 1;
+                        continue 'search;
+                    }
+                }
+                break;
+            }
+            if c as usize == colors.len() {
+                colors.push(Vec::new());
+            }
+            colors[c as usize].push(bi);
+            for &k in keys {
+                color_of_key[k as usize].push(c);
+            }
+        }
+        colors
+    }
+
+    #[test]
+    fn bit_set_coloring_equals_reference() {
+        let bifurcation =
+            Forest::new(mesh_airway_tree(&bifurcation_tree(), MeshParams::default()).coarse);
+        let mut hanging = Forest::new(CoarseMesh::hyper_cube());
+        hanging.refine_global(1);
+        let mut marks = vec![false; 8];
+        marks[0] = true;
+        hanging.refine_active(&marks);
+        for forest in [bifurcation, hanging] {
+            let manifold = TrilinearManifold::from_forest(&forest);
+            let space = CgSpace::<f32, 8>::new(&forest, &manifold, 3);
+            let faces: Vec<_> = space.mf.face_batches.iter().map(face_batch_cells).collect();
+            let expect = greedy_colors_reference(forest.n_active(), &faces);
+            assert_eq!(greedy_colors(forest.n_active(), faces), expect);
+            assert_eq!(space.mf.face_colors, expect);
+            let dpc = 4usize.pow(3);
+            let cells: Vec<_> = space
+                .mf
+                .cell_batches
+                .iter()
+                .map(|b| cell_batch_dofs(&space.row_ptr, &space.entries, dpc, b))
+                .collect();
+            let expect = greedy_colors_reference(space.n_dofs, &cells);
+            assert!(expect.len() > 1);
+            assert_eq!(greedy_colors(space.n_dofs, cells), expect);
+            assert_eq!(space.cell_colors, expect);
+        }
+        // two of three batches share key 0, so the bit sets widen past 64
+        // colors; the third kind takes the lowest color free on its key
+        let keys: Vec<Vec<u32>> = (0..300u32)
+            .map(|i| {
+                if i % 3 == 2 {
+                    vec![10 + i % 5]
+                } else {
+                    vec![0, 1 + i % 7]
+                }
+            })
+            .collect();
+        let expect = greedy_colors_reference(16, &keys);
+        assert_eq!(expect.len(), 200);
+        assert_eq!(greedy_colors(16, keys), expect);
+    }
 
     #[test]
     fn cell_batches_cover_all_cells() {

@@ -7,7 +7,7 @@
 //! The Laplacian on these levels needs only cell integrals (the function is
 //! continuous) plus Nitsche boundary faces — reusing the DG kernels.
 
-use crate::batch::greedy_colors;
+use crate::batch::{greedy_colors, CellBatch};
 use crate::evaluator::{
     apply_cell_laplace, evaluate_gradients, evaluate_values, integrate_ref, CellScratch,
     FaceScratch,
@@ -233,18 +233,9 @@ impl<T: Real, const L: usize> CgSpace<T, L> {
         // ---- cell-batch coloring (cells share global dofs) -----------------
         let cell_colors = greedy_colors(
             n_dofs,
-            mf.cell_batches.iter().map(|b| {
-                let mut dofs: Vec<u32> = Vec::new();
-                for &cell in &b.cells[..b.n_filled] {
-                    let cell = cell as usize;
-                    let lo = row_ptr[cell * dpc] as usize;
-                    let hi = row_ptr[cell * dpc + dpc] as usize;
-                    dofs.extend(entries[lo..hi].iter().map(|&(d, _)| d));
-                }
-                dofs.sort_unstable();
-                dofs.dedup();
-                dofs
-            }),
+            mf.cell_batches
+                .iter()
+                .map(|b| cell_batch_dofs(&row_ptr, &entries, dpc, b)),
         );
 
         let mut space = Self {
@@ -393,6 +384,27 @@ impl<T: Real, const L: usize> CgSpace<T, L> {
     pub fn interpolate(&self, f: &(dyn Fn([f64; 3]) -> f64 + Sync)) -> Vec<T> {
         self.positions.iter().map(|&p| T::from_f64(f(p))).collect()
     }
+}
+
+/// The global dofs a cell batch touches through its resolved rows
+/// (`row_ptr`/`entries` as in [`CgSpace`], `dpc` nodes per cell), sorted
+/// and deduplicated: the keys of the cell-batch coloring.
+pub(crate) fn cell_batch_dofs<T, const L: usize>(
+    row_ptr: &[u32],
+    entries: &[(u32, T)],
+    dpc: usize,
+    batch: &CellBatch<L>,
+) -> Vec<u32> {
+    let mut dofs: Vec<u32> = Vec::new();
+    for &cell in &batch.cells[..batch.n_filled] {
+        let cell = cell as usize;
+        let lo = row_ptr[cell * dpc] as usize;
+        let hi = row_ptr[cell * dpc + dpc] as usize;
+        dofs.extend(entries[lo..hi].iter().map(|&(d, _)| d));
+    }
+    dofs.sort_unstable();
+    dofs.dedup();
+    dofs
 }
 
 /// SIPG/Nitsche Laplacian on a continuous space: cell terms + boundary

@@ -7,7 +7,7 @@
 //! parallel — the reason the paper (following Adams et al.) prefers
 //! polynomial smoothing at scale.
 
-use crate::traits::{vec_ops, LinearOperator, Preconditioner};
+use crate::traits::{LinearOperator, Preconditioner};
 use dgflow_comm::{parallel_chunks_mut, PAR_GRAIN};
 use dgflow_simd::Real;
 use std::sync::Mutex;
@@ -20,17 +20,23 @@ pub struct ChebyshevSmoother<T> {
     theta: T,
     /// Half-width of the smoothing interval.
     delta: T,
-    /// Estimated largest eigenvalue of `D^{-1} A`.
+    /// Upper end of the smoothing interval: 1.2 times the estimated
+    /// largest eigenvalue of `D^{-1} A`.
     pub lambda_max: f64,
     /// Recycled `[r, d, A d]` work vectors, one set per concurrent caller;
     /// every pass overwrites them before reading, so reuse is safe.
     scratch: Mutex<Vec<[Vec<T>; 3]>>,
 }
 
+/// Steps of the eigenvalue estimate, one operator application each:
+/// the default `eig_cg_n_iterations` of deal.II's `PreconditionChebyshev`.
+const LANCZOS_STEPS: usize = 8;
+
 impl<T: Real> ChebyshevSmoother<T> {
     /// Build a degree-`degree` smoother targeting the eigenvalue interval
-    /// `[λ̂/smoothing_range, 1.2 λ̂]` of `D^{-1}A`, with `λ̂` estimated by
-    /// power iteration (25 steps, deterministic start).
+    /// `[1.2 λ̂/smoothing_range, 1.2 λ̂]` of `D^{-1}A`, with the largest
+    /// eigenvalue `λ̂` estimated by 8 Lanczos steps (point-Jacobi
+    /// preconditioned CG steps, one operator application each).
     pub fn new(
         op: &dyn LinearOperator<T>,
         inv_diag: Vec<T>,
@@ -38,35 +44,8 @@ impl<T: Real> ChebyshevSmoother<T> {
         smoothing_range: f64,
     ) -> Self {
         assert!(degree >= 1);
-        let n = op.len();
-        assert_eq!(inv_diag.len(), n);
-        // power iteration on D^{-1} A
-        let mut v: Vec<T> = (0..n)
-            .map(|i| T::from_f64(((i * 2654435761usize) % 1000) as f64 / 500.0 - 1.0))
-            .collect();
-        let mut av = vec![T::ZERO; n];
-        let mut lambda = 1.0;
-        let norm0 = vec_ops::norm(&v).to_f64();
-        if norm0 > 0.0 {
-            let inv = T::from_f64(1.0 / norm0);
-            v.iter_mut().for_each(|x| *x *= inv);
-            for _ in 0..25 {
-                op.apply(&v, &mut av);
-                for i in 0..n {
-                    av[i] *= inv_diag[i];
-                }
-                lambda = vec_ops::norm(&av).to_f64();
-                if lambda == 0.0 {
-                    lambda = 1.0;
-                    break;
-                }
-                let inv = T::from_f64(1.0 / lambda);
-                for i in 0..n {
-                    v[i] = av[i] * inv;
-                }
-            }
-        }
-        let lambda_max = 1.2 * lambda;
+        assert_eq!(inv_diag.len(), op.len());
+        let lambda_max = 1.2 * lanczos_lambda_max(op, &inv_diag);
         let lambda_min = lambda_max / smoothing_range;
         let theta = T::from_f64(0.5 * (lambda_max + lambda_min));
         let delta = T::from_f64(0.5 * (lambda_max - lambda_min));
@@ -165,6 +144,116 @@ impl<T: Real> ChebyshevSmoother<T> {
     }
 }
 
+/// Largest eigenvalue of `D^{-1}A` estimated by [`LANCZOS_STEPS`] steps
+/// of point-Jacobi preconditioned CG on `A x = r₀` from `x = 0`, with a
+/// deterministic `r₀`: the largest eigenvalue of the Lanczos tridiagonal
+/// matrix of the CG coefficients, with diagonal `1/α_j + β_{j-1}/α_{j-1}`
+/// and off-diagonal `√β_j/α_j`. Stops early when CG breaks down (`rᵀz` or
+/// `pᵀAp` not positive and finite), e.g. after one step when
+/// `D^{-1}A = I`; 1 when not even one step completes (the empty operator).
+/// The dot products accumulate serially in f64 in index order and the
+/// vector updates are elementwise, so the estimate does not depend on the
+/// thread count.
+fn lanczos_lambda_max<T: Real>(op: &dyn LinearOperator<T>, inv_diag: &[T]) -> f64 {
+    let n = op.len();
+    let dot = |a: &[T], b: &[T]| {
+        a.iter()
+            .zip(b)
+            .fold(0.0, |s, (x, y)| s + x.to_f64() * y.to_f64())
+    };
+    let [mut r, mut z, mut q] = [0; 3].map(|_| vec![T::ZERO; n]);
+    parallel_chunks_mut([&mut r[..], &mut z[..]], PAR_GRAIN, |off, [r, z]| {
+        for (i, (r, z)) in r.iter_mut().zip(z).enumerate() {
+            let i = off + i;
+            *r = T::from_f64(((i * 2654435761usize) % 1000) as f64 / 500.0 - 1.0);
+            *z = *r * inv_diag[i];
+        }
+    });
+    let mut p = z.clone();
+    let mut rz = dot(&r, &z);
+    // the tridiagonal matrix, and β_{j-1}/α_{j-1} of the previous step
+    let (mut diag, mut off_diag) = (Vec::new(), Vec::new());
+    let mut beta_over_alpha = 0.0;
+    while rz > 0.0 && rz.is_finite() {
+        op.apply(&p, &mut q);
+        let p_ap = dot(&p, &q);
+        if !(p_ap > 0.0 && p_ap.is_finite()) {
+            break;
+        }
+        let alpha = rz / p_ap;
+        diag.push(1.0 / alpha + beta_over_alpha);
+        if diag.len() == LANCZOS_STEPS {
+            break;
+        }
+        let a = T::from_f64(alpha);
+        parallel_chunks_mut([&mut r[..], &mut z[..]], PAR_GRAIN, |off, [r, z]| {
+            let n = r.len();
+            let (z, q, inv_diag) = (&mut z[..n], &q[off..off + n], &inv_diag[off..off + n]);
+            for i in 0..n {
+                r[i] -= a * q[i];
+                z[i] = r[i] * inv_diag[i];
+            }
+        });
+        let rz_new = dot(&r, &z);
+        let beta = rz_new / rz;
+        rz = rz_new;
+        off_diag.push(beta.sqrt() / alpha);
+        beta_over_alpha = beta / alpha;
+        let b = T::from_f64(beta);
+        parallel_chunks_mut([&mut p[..]], PAR_GRAIN, |off, [p]| {
+            for (p, &z) in p.iter_mut().zip(&z[off..]) {
+                *p = z + b * *p;
+            }
+        });
+    }
+    if diag.is_empty() {
+        return 1.0;
+    }
+    tridiagonal_max_eigenvalue(&diag, &off_diag[..diag.len() - 1])
+}
+
+/// Largest eigenvalue of the symmetric tridiagonal matrix with diagonal
+/// `d` and off-diagonal `e` (`e.len() + 1 == d.len()`), bisected to
+/// rounding between Gershgorin bounds on the Sturm count (the number of
+/// negative pivots of `T - x I`, i.e. of eigenvalues below `x`).
+fn tridiagonal_max_eigenvalue(d: &[f64], e: &[f64]) -> f64 {
+    let m = d.len();
+    let radius = |i: usize| {
+        let left = if i > 0 { e[i - 1].abs() } else { 0.0 };
+        left + e.get(i).map_or(0.0, |x| x.abs())
+    };
+    let mut lo = (0..m).map(|i| d[i] - radius(i)).fold(f64::MAX, f64::min);
+    let mut hi = (0..m).map(|i| d[i] + radius(i)).fold(f64::MIN, f64::max);
+    let below = |x: f64| {
+        let mut count = 0;
+        let mut pivot = 1.0;
+        for i in 0..m {
+            let coupling = if i > 0 {
+                e[i - 1] * e[i - 1] / pivot
+            } else {
+                0.0
+            };
+            pivot = d[i] - x - coupling;
+            if pivot == 0.0 {
+                pivot = f64::MIN_POSITIVE;
+            }
+            count += usize::from(pivot < 0.0);
+        }
+        count
+    };
+    loop {
+        let mid = 0.5 * (lo + hi);
+        if mid <= lo || mid >= hi {
+            return hi;
+        }
+        if below(mid) == m {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+}
+
 /// Adapter exposing a Chebyshev smoother (bound to its operator) as a
 /// [`Preconditioner`].
 pub struct ChebyshevPreconditioner<'a, T: Real> {
@@ -184,6 +273,7 @@ impl<'a, T: Real> Preconditioner<T> for ChebyshevPreconditioner<'a, T> {
 mod tests {
     use super::*;
     use crate::csr::CsrMatrix;
+    use crate::traits::vec_ops;
 
     fn laplace_1d(n: usize) -> CsrMatrix<f64> {
         let mut t = Vec::new();
@@ -321,6 +411,45 @@ mod tests {
         let cheb = ChebyshevSmoother::new(&a, inv_diag, 3, 20.0);
         // exact λmax of D^{-1}A is just below 2
         assert!(cheb.lambda_max > 1.8 && cheb.lambda_max < 2.5);
+    }
+
+    #[test]
+    fn lanczos_estimate_is_a_lower_bound_close_to_lambda_max() {
+        // Ritz values never exceed λmax = 1 + cos(π/101) of D^{-1}A
+        let exact = 1.0 + (std::f64::consts::PI / 101.0).cos();
+        let lambda = lanczos_lambda_max(&laplace_1d(100), &[0.5; 100]);
+        assert!(
+            lambda <= exact && lambda >= 0.9 * exact,
+            "{lambda} vs {exact}"
+        );
+    }
+
+    #[test]
+    fn lanczos_stops_on_breakdown() {
+        // D^{-1}A = I: CG converges in one step, which gives λ̂ = 1
+        let identity: Vec<_> = (0..50).map(|i| (i, i, 2.0)).collect();
+        let a = CsrMatrix::from_triplets(50, 50, &identity);
+        let lambda = lanczos_lambda_max(&a, &[0.5; 50]);
+        assert!((lambda - 1.0).abs() < 1e-12, "{lambda}");
+        // a negative D^{-1} gives rᵀz < 0 before the first step
+        assert_eq!(lanczos_lambda_max(&laplace_1d(50), &[-0.5; 50]), 1.0);
+    }
+
+    #[test]
+    fn empty_operator_gets_unit_estimate() {
+        let a = CsrMatrix::<f64>::from_triplets(0, 0, &[]);
+        let cheb = ChebyshevSmoother::new(&a, Vec::new(), 3, 20.0);
+        assert_eq!(cheb.lambda_max, 1.2);
+    }
+
+    #[test]
+    fn tridiagonal_max_eigenvalue_of_laplacian() {
+        // tridiag(-1, 2, -1) of order m: λmax = 2 + 2 cos(π/(m+1))
+        for m in [1, 2, 5, 8] {
+            let exact = 2.0 + 2.0 * (std::f64::consts::PI / (m as f64 + 1.0)).cos();
+            let lambda = tridiagonal_max_eigenvalue(&vec![2.0; m], &vec![-1.0; m - 1]);
+            assert!((lambda - exact).abs() < 1e-14, "m {m}: {lambda} vs {exact}");
+        }
     }
 
     #[test]
